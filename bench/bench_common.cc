@@ -9,6 +9,7 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "mvcc/partition_version.h"
 
 extern char** environ;
 
@@ -39,7 +40,9 @@ LoadResult LoadRows(Partitioner& partitioner, std::vector<Row> rows,
 std::vector<QueryTiming> TimeQueries(const PartitionCatalog& catalog,
                                      const std::vector<GeneratedQuery>& queries,
                                      int repetitions, const CostModel& model) {
-  QueryExecutor executor(catalog);
+  // Captured once, outside the timed loops.
+  const CatalogCapture capture(catalog);
+  QueryExecutor executor(capture.view());
   std::vector<QueryTiming> timings;
   timings.reserve(queries.size());
   for (const GeneratedQuery& generated : queries) {

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "core/cinderella.h"
 #include "core/rating.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "synopsis/synopsis.h"
 #include "workload/dbpedia_generator.h"
@@ -104,7 +105,9 @@ void BM_QueryExecutorScan(benchmark::State& state) {
   for (Row& row : rows) {
     benchmark::DoNotOptimize(partitioner->Insert(std::move(row)));
   }
-  QueryExecutor executor(partitioner->catalog());
+  VersionedTable versioned(partitioner.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  QueryExecutor executor(snapshot.view());
   const Query query(Synopsis{2, 3});  // Medium selectivity.
   uint64_t rows_scanned = 0;
   for (auto _ : state) {

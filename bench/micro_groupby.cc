@@ -4,8 +4,9 @@
 // schedule versus the legacy uniform pre-split on a skewed catalog.
 //
 // Method:
-//  1. Build catalogs directly (CreatePartition/AddRow) so partition
-//     sizes are controlled exactly and setup cost stays off the clock:
+//  1. Build catalogs directly (CreatePartition/AddRow) and capture them
+//     (CatalogCapture) so partition sizes are controlled exactly and
+//     setup cost stays off the clock:
 //     a uniform catalog for the strategy sweep and a skewed one (one
 //     partition holding ~25% of all rows) for the scheduling comparison.
 //  2. Strategy sweep: for each group cardinality and thread count, time
@@ -29,6 +30,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/catalog.h"
+#include "mvcc/partition_version.h"
 #include "query/aggregator.h"
 #include "storage/row.h"
 
@@ -46,15 +49,17 @@ namespace {
 constexpr AttributeId kGroup = 0;
 constexpr AttributeId kValue = 1;
 
-/// Fills `catalog` with `partition_rows[p]` rows in partition p: group
+/// Builds a catalog with `partition_rows[p]` rows in partition p (group
 /// keys id % groups, deterministic int64/double values, plus a noise
-/// attribute so synopses differ across partitions.
-void FillCatalog(PartitionCatalog* catalog,
-                 const std::vector<size_t>& partition_rows, size_t groups) {
+/// attribute so synopses differ across partitions) and returns its
+/// capture; the catalog itself is dropped once packed.
+std::unique_ptr<CatalogCapture> CaptureFilledCatalog(
+    const std::vector<size_t>& partition_rows, size_t groups) {
+  PartitionCatalog catalog;
   Rng rng(991);
   EntityId next_id = 0;
   for (const size_t rows : partition_rows) {
-    Partition& partition = catalog->CreatePartition();
+    Partition& partition = catalog.CreatePartition();
     for (size_t i = 0; i < rows; ++i) {
       Row row(next_id++);
       row.Set(kGroup,
@@ -70,6 +75,7 @@ void FillCatalog(PartitionCatalog* catalog,
       if (!partition.AddRow(std::move(row), synopsis).ok()) std::abort();
     }
   }
+  return std::make_unique<CatalogCapture>(catalog);
 }
 
 std::vector<size_t> UniformPartitions(size_t entities, size_t per_partition) {
@@ -145,15 +151,14 @@ int main() {
   for (const size_t groups : group_counts) {
     PrintHeader("groupby: " + std::to_string(groups) + " groups, " +
                 std::to_string(entities) + " rows");
-    PartitionCatalog catalog;
-    FillCatalog(&catalog, UniformPartitions(entities, per_partition),
-                groups);
+    const std::unique_ptr<CatalogCapture> catalog = CaptureFilledCatalog(
+        UniformPartitions(entities, per_partition), groups);
 
     // Serial two-phase: the baseline every configuration must reproduce
     // bit-identically.
     std::vector<GroupResult> baseline;
     {
-      Aggregator serial(catalog);
+      Aggregator serial(catalog->view());
       baseline = serial.Aggregate(spec).groups;
     }
 
@@ -167,7 +172,7 @@ int main() {
         AggregatorOptions options;
         options.scan_threads = threads;
         options.strategy = strategy;
-        Aggregator aggregator(catalog, options);
+        Aggregator aggregator(catalog->view(), options);
         AggregationResult last;
         BenchPoint point;
         point.groups = groups;
@@ -201,9 +206,8 @@ int main() {
   // ---- Scheduling: uniform pre-split vs guided morsels, skewed sizes. --
   PrintHeader("scheduling: fixed chunks vs morsels (skewed partitions)");
   const size_t sched_groups = std::min<size_t>(1000, entities);
-  PartitionCatalog skewed;
-  FillCatalog(&skewed, SkewedPartitions(entities, per_partition),
-              sched_groups);
+  const std::unique_ptr<CatalogCapture> skewed = CaptureFilledCatalog(
+      SkewedPartitions(entities, per_partition), sched_groups);
   double fixed_ms = 0.0;
   double morsel_ms = 0.0;
   bool sched_identical = true;
@@ -214,7 +218,7 @@ int main() {
       options.scan_threads = 4;
       options.strategy = AggregateStrategy::kTwoPhase;
       options.fixed_chunks = fixed;
-      Aggregator aggregator(skewed, options);
+      Aggregator aggregator(skewed->view(), options);
       AggregationResult last;
       const double ms = TimeAggregate(&aggregator, spec, reps, &last);
       if (fixed) {

@@ -40,6 +40,7 @@
 #include "common/timer.h"
 #include "core/cinderella.h"
 #include "core/rating.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "query/query.h"
 #include "synopsis/synopsis.h"
@@ -392,8 +393,10 @@ int main() {
   std::vector<ScanPoint> query_points;
   uint64_t serial_rows_scanned = 0;
   uint64_t serial_cells = 0;
+  VersionedTable versioned(partitioner.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
   for (int threads : thread_counts) {
-    QueryExecutor executor(partitioner->catalog(), threads);
+    QueryExecutor executor(snapshot.view(), threads);
     uint64_t rows_scanned = 0;
     uint64_t cells = 0;
     WallTimer timer;

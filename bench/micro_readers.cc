@@ -1,14 +1,13 @@
-// Microbench for the MVCC read engine (src/mvcc): reader throughput and
-// latency with and without a concurrent ingest writer, ConcurrentTable
-// (shared_mutex read path) vs VersionedTable (epoch-pinned snapshots).
+// Microbench for the MVCC read engine (src/mvcc): VersionedTable reader
+// throughput and latency (epoch-pinned snapshots) with and without a
+// concurrent ingest writer.
 //
 // The writer is *paced* to a fixed rows/second budget rather than running
 // flat out: on a single-core host an unpaced writer and the readers would
 // simply split the CPU and the comparison would measure scheduling, not
-// lock behaviour. With a paced writer both tables face the same mutation
-// stream; the difference that remains is how long readers stall behind
-// the writer's exclusive lock (ConcurrentTable) versus not at all
-// (VersionedTable).
+// reader interference. With a paced writer the retention ratio (queries/s
+// with the writer over queries/s without) shows how much snapshot readers
+// notice publication.
 //
 // Also re-checks the placement identity invariant end to end: a table
 // loaded through the VersionedTable facade (batched engine, per-window
@@ -51,7 +50,6 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/cinderella.h"
-#include "core/concurrent_table.h"
 #include "ingest/batch_inserter.h"
 #include "mvcc/partition_version.h"
 #include "mvcc/versioned_table.h"
@@ -94,7 +92,6 @@ std::vector<Row> MakeSteadyTail(size_t count, const std::vector<Row>& base,
 }
 
 struct ReaderPoint {
-  std::string table;  // "concurrent" or "versioned"
   int writers = 0;
   double queries_per_second = 0.0;
   double p50_us = 0.0;
@@ -206,37 +203,6 @@ int main() {
       99);
   std::vector<ReaderPoint> points;
 
-  // ---- ConcurrentTable: shared-lock readers. ----
-  PrintHeader("readers: ConcurrentTable (shared_mutex)");
-  for (const bool with_writer : {false, true}) {
-    auto partitioner = std::move(Cinderella::Create(config)).value();
-    {
-      std::vector<Row> base = base_rows;
-      if (!partitioner->InsertBatch(std::move(base)).ok()) return 1;
-    }
-    ConcurrentTable table(std::move(partitioner));
-
-    ReaderPoint point;
-    point.table = "concurrent";
-    RunConfig(
-        readers, duration_s, write_rate, steady_tail, with_writer,
-        [&] {
-          table.WithReadLock([&](const PartitionCatalog& catalog) {
-            QueryExecutor executor(catalog);
-            return executor.Execute(query).metrics.rows_matched;
-          });
-        },
-        [&](Row row) {
-          if (!table.Insert(std::move(row)).ok()) std::abort();
-        },
-        &point);
-    points.push_back(point);
-    std::printf("  %d writer: %8.0f queries/s  p50 %7.1f us  p95 %7.1f us"
-                "  (writer %5.0f rows/s)\n",
-                point.writers, point.queries_per_second, point.p50_us,
-                point.p95_us, point.writer_rows_per_second);
-  }
-
   // ---- VersionedTable: epoch-pinned snapshot readers. ----
   PrintHeader("readers: VersionedTable (MVCC snapshots)");
   for (const bool with_writer : {false, true}) {
@@ -252,7 +218,6 @@ int main() {
     std::vector<Row> burst;
     burst.reserve(128);
     ReaderPoint point;
-    point.table = "versioned";
     RunConfig(
         readers, duration_s, write_rate, steady_tail, with_writer,
         [&] {
@@ -277,12 +242,10 @@ int main() {
 
   // Acceptance watch: snapshot readers should barely notice the writer.
   const double versioned_ratio =
-      points[3].queries_per_second / points[2].queries_per_second;
-  const double concurrent_ratio =
       points[1].queries_per_second / points[0].queries_per_second;
-  std::printf("\n  concurrent-reader retention: ConcurrentTable %.2f, "
-              "VersionedTable %.2f (target >= 0.75)\n",
-              concurrent_ratio, versioned_ratio);
+  std::printf("\n  concurrent-reader retention: VersionedTable %.2f "
+              "(target >= 0.75)\n",
+              versioned_ratio);
 
   // ---- Placement identity: facade-loaded vs bare serial. ----
   PrintHeader("identity: VersionedTable ingest vs serial inserts");
@@ -329,17 +292,17 @@ int main() {
   for (size_t i = 0; i < points.size(); ++i) {
     const ReaderPoint& p = points[i];
     std::fprintf(json,
-                 "%s\n    {\"table\": \"%s\", \"writers\": %d, "
+                 "%s\n    {\"table\": \"versioned\", \"writers\": %d, "
                  "\"queries_per_second\": %.1f, \"p50_us\": %.1f, "
                  "\"p95_us\": %.1f, \"writer_rows_per_second\": %.1f}",
-                 i == 0 ? "" : ",", p.table.c_str(), p.writers,
+                 i == 0 ? "" : ",", p.writers,
                  p.queries_per_second, p.p50_us, p.p95_us,
                  p.writer_rows_per_second);
   }
   std::fprintf(json, "\n  ],\n");
   std::fprintf(json, "  \"concurrent_reader_retention\": {"
-               "\"concurrent\": %.3f, \"versioned\": %.3f},\n",
-               concurrent_ratio, versioned_ratio);
+               "\"versioned\": %.3f},\n",
+               versioned_ratio);
   std::fprintf(json, "  \"placement_identical\": %s\n}\n",
                identical ? "true" : "false");
   std::fclose(json);

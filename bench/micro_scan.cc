@@ -1,8 +1,7 @@
 // Microbench for the arena-pooled snapshot storage (src/mvcc +
-// common/arena.h): snapshot scan throughput against the live catalog's
-// heap-fragmented row layout, and publication latency cold (empty pools,
-// every block malloc'ed) versus pooled (steady state, zero allocator
-// calls).
+// common/arena.h): snapshot scan throughput, and publication latency cold
+// (empty pools, every block malloc'ed) versus pooled (steady state, zero
+// allocator calls).
 //
 // Method:
 //  1. Load a DBpedia-shaped table through the batched engine, then churn
@@ -14,10 +13,10 @@
 //     timed against steady-state full republications; the steady window
 //     asserts the zero-malloc claim by watching the pool's lifetime block
 //     counter stay flat.
-//  3. Scan: identical full-table and pruned queries against the live
-//     catalog and a pinned snapshot, serial executor both, GB/s from the
-//     deterministic bytes_read counter. Every counter and the matched-row
-//     order must be bit-identical between the two sources.
+//  3. Scan: full-table and pruned queries against a pinned snapshot,
+//     serial executor, GB/s from the deterministic bytes_read counter.
+//     Match counts, materialized cells and the matched-row order must
+//     equal a brute-force walk over the catalog's rows.
 //  4. Placement identity: facade-loaded vs bare serial inserts.
 //
 // Emits BENCH_scan.json in the working directory plus tables on stdout.
@@ -66,8 +65,7 @@ uint64_t GroupingFingerprint(const Cinderella& c) {
 }
 
 struct ScanPoint {
-  std::string source;  // "live" or "snapshot"
-  std::string query;   // "full" or "pruned"
+  std::string query;  // "full" or "pruned"
   double gbps = 0.0;
   double avg_ms = 0.0;
   uint64_t bytes_read = 0;
@@ -77,9 +75,8 @@ struct ScanPoint {
 /// Times `reps` executions of `run` (which returns the QueryResult of one
 /// pass) and converts the deterministic bytes_read counter into GB/s.
 template <typename Fn>
-ScanPoint TimeScan(const char* source, const char* query, int reps, Fn run) {
+ScanPoint TimeScan(const char* query, int reps, Fn run) {
   ScanPoint point;
-  point.source = source;
   point.query = query;
   QueryResult last;
   WallTimer timer;
@@ -91,15 +88,6 @@ ScanPoint TimeScan(const char* source, const char* query, int reps, Fn run) {
   point.gbps = static_cast<double>(last.metrics.bytes_read) * reps /
                elapsed / 1e9;
   return point;
-}
-
-bool MetricsEqual(const ScanMetrics& a, const ScanMetrics& b) {
-  return a.partitions_total == b.partitions_total &&
-         a.partitions_scanned == b.partitions_scanned &&
-         a.partitions_pruned == b.partitions_pruned &&
-         a.rows_scanned == b.rows_scanned &&
-         a.rows_matched == b.rows_matched && a.cells_read == b.cells_read &&
-         a.bytes_read == b.bytes_read;
 }
 
 }  // namespace
@@ -201,8 +189,8 @@ int main() {
               static_cast<unsigned long long>(steady_shell_creations),
               kSteady);
 
-  // ---- Scan throughput: live (fragmented) vs snapshot (arena-packed). ----
-  PrintHeader("scan: live catalog vs pinned snapshot");
+  // ---- Scan throughput over a pinned (arena-packed) snapshot. ----
+  PrintHeader("scan: pinned snapshot");
   // The full scan must actually read cell data on every row (a match-all
   // predicate would only walk row headers and measure nothing but loop
   // overhead): a compound with no pruning synopsis forces a full scan
@@ -216,52 +204,50 @@ int main() {
   }());
   const Query pruned_query(Synopsis{0, 3});
   const VersionedTable::Snapshot snapshot = table.snapshot();
-  QueryExecutor live(table.partitioner().catalog());
   QueryExecutor pinned(snapshot.view());
 
   std::vector<ScanPoint> scans;
-  scans.push_back(TimeScan("live", "full", scan_reps, [&] {
-    return live.ExecutePredicate(*match_all);
-  }));
-  scans.push_back(TimeScan("snapshot", "full", scan_reps, [&] {
+  scans.push_back(TimeScan("full", scan_reps, [&] {
     return pinned.ExecutePredicate(*match_all);
   }));
-  scans.push_back(TimeScan("live", "pruned", scan_reps, [&] {
-    return live.Execute(pruned_query);
-  }));
-  scans.push_back(TimeScan("snapshot", "pruned", scan_reps, [&] {
+  scans.push_back(TimeScan("pruned", scan_reps, [&] {
     return pinned.Execute(pruned_query);
   }));
   for (const ScanPoint& p : scans) {
-    std::printf("  %-8s %-6s %8.3f GB/s  %8.2f ms/scan  (%llu rows)\n",
-                p.source.c_str(), p.query.c_str(), p.gbps, p.avg_ms,
+    std::printf("  %-6s %8.3f GB/s  %8.2f ms/scan  (%llu rows)\n",
+                p.query.c_str(), p.gbps, p.avg_ms,
                 static_cast<unsigned long long>(p.rows_matched));
   }
-  const double full_speedup = scans[1].gbps / scans[0].gbps;
-  const double pruned_speedup = scans[3].gbps / scans[2].gbps;
-  std::printf("\n  snapshot/live speedup: full %.2fx, pruned %.2fx "
-              "(target >= 1.30x full)\n",
-              full_speedup, pruned_speedup);
 
-  // ---- Result identity: every counter and the match order. ----
-  const QueryResult live_full = live.ExecutePredicate(*match_all);
-  const QueryResult snap_full = pinned.ExecutePredicate(*match_all);
-  const QueryResult live_pruned = live.Execute(pruned_query);
-  const QueryResult snap_pruned = pinned.Execute(pruned_query);
-  std::vector<EntityId> live_matches;
-  std::vector<EntityId> snap_matches;
-  (void)live.ScanMatches(*match_all, [&](const RowView& row) {
-    live_matches.push_back(row.id());
-  });
+  // ---- Result identity against a brute-force oracle. ----
+  // A hand walk over the catalog's partitions and rows in id-then-row
+  // order (the order the scan promises): the matched ids of the full
+  // scan, and the rows and cells the pruned query's projection yields.
+  std::vector<EntityId> expected_matches;
+  uint64_t expected_pruned_rows = 0;
+  uint64_t expected_pruned_cells = 0;
+  table.partitioner().catalog().ForEachPartition(
+      [&](const Partition& partition) {
+        for (const Row& row : partition.segment().rows()) {
+          if (match_all->Matches(row)) expected_matches.push_back(row.id());
+          const uint64_t cells = (row.Get(0) != nullptr ? 1 : 0) +
+                                 (row.Get(3) != nullptr ? 1 : 0);
+          expected_pruned_rows += cells > 0 ? 1 : 0;
+          expected_pruned_cells += cells;
+        }
+      });
+  const QueryResult full = pinned.ExecutePredicate(*match_all);
+  const QueryResult pruned = pinned.Execute(pruned_query);
+  std::vector<EntityId> matches;
   (void)pinned.ScanMatches(*match_all, [&](const RowView& row) {
-    snap_matches.push_back(row.id());
+    matches.push_back(row.id());
   });
   const bool results_identical =
-      MetricsEqual(live_full.metrics, snap_full.metrics) &&
-      MetricsEqual(live_pruned.metrics, snap_pruned.metrics) &&
-      live_full.cells_materialized == snap_full.cells_materialized &&
-      live_pruned.cells_materialized == snap_pruned.cells_materialized &&
-      live_matches == snap_matches;
+      full.metrics.rows_scanned == table.entity_count() &&
+      full.metrics.rows_matched == expected_matches.size() &&
+      matches == expected_matches &&
+      pruned.metrics.rows_matched == expected_pruned_rows &&
+      pruned.cells_materialized == expected_pruned_cells;
   std::printf("  query results: %s\n",
               results_identical ? "identical" : "MISMATCH");
 
@@ -318,19 +304,15 @@ int main() {
   for (size_t i = 0; i < scans.size(); ++i) {
     const ScanPoint& p = scans[i];
     std::fprintf(json,
-                 "%s\n    {\"source\": \"%s\", \"query\": \"%s\", "
+                 "%s\n    {\"source\": \"snapshot\", \"query\": \"%s\", "
                  "\"gbps\": %.4f, \"avg_ms\": %.3f, \"bytes_read\": %llu, "
                  "\"rows_matched\": %llu}",
-                 i == 0 ? "" : ",", p.source.c_str(), p.query.c_str(),
+                 i == 0 ? "" : ",", p.query.c_str(),
                  p.gbps, p.avg_ms,
                  static_cast<unsigned long long>(p.bytes_read),
                  static_cast<unsigned long long>(p.rows_matched));
   }
   std::fprintf(json, "\n  ],\n");
-  std::fprintf(json,
-               "  \"snapshot_scan_speedup\": {\"full\": %.3f, "
-               "\"pruned\": %.3f},\n",
-               full_speedup, pruned_speedup);
   std::fprintf(json, "  \"results_identical\": %s,\n",
                results_identical ? "true" : "false");
   std::fprintf(json, "  \"placement_identical\": %s\n}\n",

@@ -31,6 +31,7 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "core/cinderella.h"
+#include "mvcc/versioned_table.h"
 #include "pagestore/buffer_pool.h"
 #include "pagestore/paged_store.h"
 #include "pagestore/pager.h"
@@ -168,11 +169,15 @@ int Main() {
   }
 
   // All-hot reference results for the slice.
-  QueryExecutor executor(cinderella->catalog(), 1);
   std::vector<uint64_t> hot_matches;
   hot_matches.reserve(slice.size());
-  for (const GeneratedQuery* q : slice) {
-    hot_matches.push_back(executor.Execute(q->query).metrics.rows_matched);
+  {
+    VersionedTable versioned(cinderella.get(), nullptr);
+    const VersionedTable::Snapshot snapshot = versioned.snapshot();
+    QueryExecutor executor(snapshot.view(), 1);
+    for (const GeneratedQuery* q : slice) {
+      hot_matches.push_back(executor.Execute(q->query).metrics.rows_matched);
+    }
   }
 
   uint64_t dataset_bytes = 0;
@@ -210,9 +215,13 @@ int Main() {
       controller.HotBytes() / 1048576.0);
   CINDERELLA_CHECK(dataset_bytes >= 4 * pool_budget_bytes);
 
-  // The selective slice through the hybrid executor: per query, the cold
-  // pages fetched (buffer-pool traffic delta) over the cold pages in the
-  // tier. Pruned cold partitions cost zero fetches.
+  // The selective slice through the hybrid executor over a snapshot of
+  // the spilled table: per query, the cold pages fetched (buffer-pool
+  // traffic delta) over the cold pages in the tier. Pruned cold
+  // partitions cost zero fetches.
+  VersionedTable versioned(cinderella.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  QueryExecutor executor(snapshot.view(), 1);
   bool results_identical = true;
   uint64_t fetched_total = 0;
   double fraction_sum = 0.0;

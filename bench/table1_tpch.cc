@@ -24,6 +24,7 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "workload/tpch/tpch_generator.h"
 #include "workload/tpch/tpch_queries.h"
@@ -62,7 +63,8 @@ ScenarioResult RunScenario(Partitioner& partitioner, std::vector<Row> rows,
   result.partitions = partitioner.catalog().partition_count();
   result.pure = CheckPurity(partitioner.catalog());
 
-  QueryExecutor executor(partitioner.catalog());
+  const CatalogCapture capture(partitioner.catalog());
+  QueryExecutor executor(capture.view());
   WallTimer timer;
   for (int r = 0; r < reps; ++r) {
     for (const Query& query : queries) {

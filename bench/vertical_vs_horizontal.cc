@@ -23,6 +23,7 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "workload/dbpedia_generator.h"
 #include "workload/query_workload.h"
@@ -62,7 +63,8 @@ int Main() {
               horizontal->catalog().partition_count(),
               vertical.groups().size());
 
-  QueryExecutor executor(horizontal->catalog());
+  const CatalogCapture capture(horizontal->catalog());
+  QueryExecutor executor(capture.view());
   bench::PrintHeader(
       "Cells read per query: horizontal pruning vs vertical column groups");
   TablePrinter table({"selectivity", "queries", "universal cells",

@@ -14,6 +14,8 @@
 #include "common/timer.h"
 #include "core/cinderella.h"
 #include "core/partitioning_stats.h"
+#include "mvcc/partition_version.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "workload/dbpedia_generator.h"
 #include "workload/query_workload.h"
@@ -22,10 +24,10 @@ using namespace cinderella;
 
 namespace {
 
-double RunWorkload(const PartitionCatalog& catalog,
+double RunWorkload(const CatalogView& view,
                    const std::vector<GeneratedQuery>& workload, double lo,
                    double hi) {
-  QueryExecutor executor(catalog);
+  QueryExecutor executor(view);
   WallTimer timer;
   size_t count = 0;
   for (const GeneratedQuery& q : workload) {
@@ -69,12 +71,19 @@ int main() {
     if (!universal.Insert(std::move(row)).ok()) return 1;
   }
 
+  // Cinderella is read through a published MVCC snapshot; the baseline,
+  // which no VersionedTable publishes, through a capture of its catalog.
+  VersionedTable versioned(cinderella.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  const CatalogCapture universal_capture(universal.catalog());
+
   std::printf("avg query time per selectivity band (ms):\n");
   std::printf("%-14s %12s %12s %8s\n", "selectivity", "cinderella",
               "universal", "speedup");
   for (double lo = 0.0; lo < 0.6; lo += 0.1) {
-    const double c = RunWorkload(cinderella->catalog(), workload, lo, lo + 0.1);
-    const double u = RunWorkload(universal.catalog(), workload, lo, lo + 0.1);
+    const double c = RunWorkload(snapshot.view(), workload, lo, lo + 0.1);
+    const double u =
+        RunWorkload(universal_capture.view(), workload, lo, lo + 0.1);
     if (c == 0.0 && u == 0.0) continue;
     std::printf("%4.1f - %4.1f    %12.3f %12.3f %7.1fx\n", lo, lo + 0.1, c, u,
                 c > 0 ? u / c : 0.0);

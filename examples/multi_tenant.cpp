@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "core/cinderella.h"
 #include "io/durable_table.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 
@@ -89,8 +90,10 @@ int main() {
               static_cast<unsigned long long>(durable->replayed_on_open()));
 
   // Tenant isolation: a tenant-3 query prunes other tenants' partitions.
+  // Reads run on an immutable capture of the recovered table's catalog.
   UniversalTable& table = durable->table();
-  QueryExecutor executor(table.catalog());
+  const CatalogCapture capture(table.catalog());
+  QueryExecutor executor(capture.view());
   const Query tenant3 = Query::FromNames(
       table.dictionary(),
       {"tenant3_field0", "tenant3_field1", "tenant3_field2",

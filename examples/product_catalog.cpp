@@ -16,6 +16,7 @@
 #include "core/cinderella.h"
 #include "core/efficiency.h"
 #include "core/universal_table.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 
 using namespace cinderella;
@@ -57,9 +58,13 @@ void Load(UniversalTable& table, Rng& rng, size_t count, size_t wave) {
   }
 }
 
-void Report(const UniversalTable& table, const char* label) {
-  // The workload: one selective query per late category plus a broad one.
-  QueryExecutor executor(table.catalog());
+void Report(const UniversalTable& table, Cinderella* engine,
+            const char* label) {
+  // The workload: one selective query per late category plus a broad one,
+  // run on a pinned snapshot of the table.
+  VersionedTable versioned(engine, nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  QueryExecutor executor(snapshot.view());
   std::printf("\n-- %s: %zu entities, %zu partitions --\n", label,
               table.entity_count(), table.catalog().partition_count());
   for (const auto& names :
@@ -88,20 +93,23 @@ int main() {
   CinderellaConfig config;
   config.weight = 0.2;
   config.max_size = 2000;
-  UniversalTable table(std::move(Cinderella::Create(config)).value());
+  std::unique_ptr<Cinderella> cinderella =
+      std::move(Cinderella::Create(config)).value();
+  Cinderella* engine = cinderella.get();
+  UniversalTable table(std::move(cinderella));
 
   Rng rng(2014);
   // Wave 1: only cameras and TVs exist.
   Load(table, rng, 4000, 1);
-  Report(table, "after wave 1 (cameras, TVs)");
+  Report(table, engine, "after wave 1 (cameras, TVs)");
 
   // Wave 2: phones appear with a new attribute (network).
   Load(table, rng, 4000, 2);
-  Report(table, "after wave 2 (+phones)");
+  Report(table, engine, "after wave 2 (+phones)");
 
   // Wave 3: disks and GPS devices appear.
   Load(table, rng, 4000, 4);
-  Report(table, "after wave 3 (+disks, GPS)");
+  Report(table, engine, "after wave 3 (+disks, GPS)");
 
   // Compare end-state efficiency against the unpartitioned table.
   std::vector<Synopsis> workload;

@@ -9,6 +9,7 @@
 #include "core/cinderella.h"
 #include "core/partitioning_stats.h"
 #include "core/universal_table.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "query/query.h"
 
@@ -28,6 +29,7 @@ int main() {
   }
 
   // 2. Wrap it in a universal table; attribute names are interned lazily.
+  Cinderella* engine = cinderella->get();
   UniversalTable table(std::move(cinderella).value());
 
   // The electronics catalog from Figure 1 of the paper.
@@ -58,18 +60,24 @@ int main() {
   // 3. Query: all entities with an aperture or a rotation speed
   //    (SELECT aperture, rotation FROM t WHERE aperture IS NOT NULL OR
   //     rotation IS NOT NULL). Partitions without those attributes are
-  //    pruned via their synopses before any data is touched.
+  //    pruned via their synopses before any data is touched. Queries run
+  //    on a pinned MVCC snapshot that a VersionedTable publishes.
   const Query query =
       Query::FromNames(table.dictionary(), {"aperture", "rotation"});
-  QueryExecutor executor(table.catalog());
-  const QueryResult result = executor.Execute(query);
-  std::printf("query {aperture, rotation}: %llu of %zu entities matched; "
-              "%llu/%llu partitions scanned (%llu pruned)\n",
-              static_cast<unsigned long long>(result.metrics.rows_matched),
-              table.entity_count(),
-              static_cast<unsigned long long>(result.metrics.partitions_scanned),
-              static_cast<unsigned long long>(result.metrics.partitions_total),
-              static_cast<unsigned long long>(result.metrics.partitions_pruned));
+  {
+    VersionedTable versioned(engine, nullptr);
+    const VersionedTable::Snapshot snapshot = versioned.snapshot();
+    QueryExecutor executor(snapshot.view());
+    const QueryResult result = executor.Execute(query);
+    std::printf(
+        "query {aperture, rotation}: %llu of %zu entities matched; "
+        "%llu/%llu partitions scanned (%llu pruned)\n",
+        static_cast<unsigned long long>(result.metrics.rows_matched),
+        table.entity_count(),
+        static_cast<unsigned long long>(result.metrics.partitions_scanned),
+        static_cast<unsigned long long>(result.metrics.partitions_total),
+        static_cast<unsigned long long>(result.metrics.partitions_pruned));
+  }
 
   // 4. Modifications keep the partitioning adapted online.
   table.Update(3, {{"name", Value("Samsung Galaxy S4")},

@@ -13,6 +13,7 @@
 
 #include "common/env.h"
 #include "core/cinderella.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "workload/tpch/tpch_generator.h"
 #include "workload/tpch/tpch_queries.h"
@@ -60,8 +61,11 @@ int main() {
                 count);
   }
 
-  // Run the 22 query footprints and show partition pruning per query.
-  QueryExecutor executor(cinderella->catalog());
+  // Run the 22 query footprints on a pinned snapshot and show partition
+  // pruning per query.
+  VersionedTable versioned(cinderella.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  QueryExecutor executor(snapshot.view());
   std::printf("\n22 TPC-H query footprints:\n");
   for (const auto& footprint : TpchQueryFootprints()) {
     const Query query = MakeTpchQuery(footprint, dictionary);

@@ -13,6 +13,7 @@
 #include "core/cinderella.h"
 #include "core/efficiency.h"
 #include "core/universal_table.h"
+#include "mvcc/versioned_table.h"
 #include "query/executor.h"
 
 using namespace cinderella;
@@ -45,8 +46,10 @@ Row MakeEntity(EntityId id) {
   return row;
 }
 
-size_t PartitionsScanned(const PartitionCatalog& catalog, const Query& query) {
-  QueryExecutor executor(catalog);
+size_t PartitionsScanned(Cinderella* partitioner, const Query& query) {
+  VersionedTable versioned(partitioner, nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  QueryExecutor executor(snapshot.view());
   return executor.Execute(query).metrics.partitions_scanned;
 }
 
@@ -83,12 +86,12 @@ int main() {
   const Query sensor(Synopsis{10, 11});
   std::printf("\npartitions scanned by the media query:  entity-based %zu, "
               "workload-based %zu\n",
-              PartitionsScanned(entity_based->catalog(), media),
-              PartitionsScanned(workload_based->catalog(), media));
+              PartitionsScanned(entity_based.get(), media),
+              PartitionsScanned(workload_based.get(), media));
   std::printf("partitions scanned by the sensor query: entity-based %zu, "
               "workload-based %zu\n",
-              PartitionsScanned(entity_based->catalog(), sensor),
-              PartitionsScanned(workload_based->catalog(), sensor));
+              PartitionsScanned(entity_based.get(), sensor),
+              PartitionsScanned(workload_based.get(), sensor));
 
   for (const auto& [label, partitioner] :
        std::vector<std::pair<const char*, Cinderella*>>{

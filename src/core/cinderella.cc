@@ -79,45 +79,49 @@ Status Cinderella::VerifyIntegrity() const {
       violation = fail(where + " exceeds MAXSIZE");
       return;
     }
-    // Cold partitions are verified against the rows read back from their
+    // Rows stream from the segment or, for a cold partition, back from its
     // page chain (exercising the tier's read path as a side effect).
-    std::vector<Row> cold_rows;
-    const std::vector<Row>* rows = &partition.segment().rows();
-    if (partition.cold()) {
-      if (cold_tier_ == nullptr) {
-        violation = fail(where + " is cold but no tier is attached");
-        return;
-      }
-      cold_rows.reserve(partition.cold_chain()->entities);
-      const Status read = cold_tier_->ReadChain(
-          *partition.cold_chain(),
-          [&](Row&& row) { cold_rows.push_back(std::move(row)); });
-      if (!read.ok()) {
-        violation = read;
-        return;
-      }
-      if (cold_rows.size() != partition.cold_chain()->entities) {
-        violation = fail(where + " chain row count drift");
-        return;
-      }
-      rows = &cold_rows;
-    }
     Synopsis attribute_union;
     Synopsis rating_union;
+    uint64_t rows = 0;
     uint64_t cells = 0;
     uint64_t bytes = 0;
-    for (const Row& row : *rows) {
-      ++resident_rows;
+    std::string misbound;  // First misbound resident, if any.
+    const std::optional<Partition::Starter>* starters[] = {
+        &partition.starter_a(), &partition.starter_b()};
+    bool starter_resident[] = {false, false};
+    bool starter_stale = false;
+    const Status read = partition.ForEachRow([&](const Row& row) {
+      ++rows;
+      const Synopsis rating = extractor_(row);
       attribute_union.UnionWith(row.AttributeSynopsis());
-      rating_union.UnionWith(extractor_(row));
+      rating_union.UnionWith(rating);
       cells += row.attribute_count();
       bytes += row.byte_size();
       const auto home = catalog_.FindEntity(row.id());
-      if (!home.has_value() || *home != partition.id()) {
-        violation = fail("entity " + std::to_string(row.id()) +
-                         " misbound (resident in " + where + ")");
-        return;
+      if (misbound.empty() && (!home.has_value() || *home != partition.id())) {
+        misbound = "entity " + std::to_string(row.id()) +
+                   " misbound (resident in " + where + ")";
       }
+      for (size_t s = 0; s < 2; ++s) {
+        const std::optional<Partition::Starter>& starter = *starters[s];
+        if (!starter.has_value() || starter->entity != row.id()) continue;
+        starter_resident[s] = true;
+        if (starter->synopsis != rating) starter_stale = true;
+      }
+    });
+    if (!read.ok()) {
+      violation = read;
+      return;
+    }
+    resident_rows += rows;
+    if (rows != partition.entity_count()) {
+      violation = fail(where + " row count drift");
+      return;
+    }
+    if (!misbound.empty()) {
+      violation = fail(misbound);
+      return;
     }
     if (partition.attribute_synopsis() != attribute_union) {
       violation = fail(where + " attribute synopsis drift");
@@ -132,28 +136,15 @@ Status Cinderella::VerifyIntegrity() const {
       violation = fail(where + " size accounting drift");
       return;
     }
-    for (const auto& starter :
-         {partition.starter_a(), partition.starter_b()}) {
-      if (!starter.has_value()) continue;
-      const Row* row = nullptr;
-      if (partition.cold()) {
-        for (const Row& candidate : cold_rows) {
-          if (candidate.id() == starter->entity) {
-            row = &candidate;
-            break;
-          }
-        }
-      } else {
-        row = partition.segment().Find(starter->entity);
-      }
-      if (row == nullptr) {
+    for (size_t s = 0; s < 2; ++s) {
+      if (starters[s]->has_value() && !starter_resident[s]) {
         violation = fail(where + " starter not resident");
         return;
       }
-      if (starter->synopsis != extractor_(*row)) {
-        violation = fail(where + " starter synopsis stale");
-        return;
-      }
+    }
+    if (starter_stale) {
+      violation = fail(where + " starter synopsis stale");
+      return;
     }
     if (partition.starter_a().has_value() &&
         partition.starter_b().has_value() &&
@@ -339,15 +330,7 @@ Status Cinderella::EnsureHot(Partition& partition) {
 Status Cinderella::ForEachRowOf(
     const Partition& partition,
     const std::function<void(const Row&)>& fn) const {
-  if (!partition.cold()) {
-    for (const Row& row : partition.segment().rows()) fn(row);
-    return Status::OK();
-  }
-  if (cold_tier_ == nullptr) {
-    return Status::FailedPrecondition("cold partition without a tier");
-  }
-  return cold_tier_->ReadChain(*partition.cold_chain(),
-                               [&](Row&& row) { fn(row); });
+  return partition.ForEachRow(fn);
 }
 
 // ---------------------------------------------------------------------------

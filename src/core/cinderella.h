@@ -75,10 +75,6 @@ class BatchMutationEngine {
   virtual Status Reorganize() = 0;
 };
 
-/// Historical name from the insert-only engine of PR 2; the interface now
-/// covers the full mutation stream.
-using BatchInsertEngine = BatchMutationEngine;
-
 /// The Cinderella online horizontal partitioner (Sections III-IV).
 ///
 /// Implements Algorithm 1 with the deviations documented in DESIGN.md:

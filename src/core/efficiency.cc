@@ -1,5 +1,7 @@
 #include "core/efficiency.h"
 
+#include "common/logging.h"
+
 // Inline-only use of the snapshot types (ForEachPartition / ForEachRow /
 // attribute_synopsis are all header-defined), so this adds no link
 // dependency from cinderella_core to the mvcc library.
@@ -38,20 +40,33 @@ EfficiencyBreakdown ComputeEfficiency(const PartitionCatalog& catalog,
                                       const std::vector<double>& weights,
                                       SizeMeasure measure) {
   EfficiencyBreakdown result;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    const Synopsis& query = workload[i];
-    const double weight = i < weights.size() ? weights[i] : 1.0;
-    catalog.ForEachPartition([&](const Partition& partition) {
-      if (!partition.attribute_synopsis().Intersects(query)) return;
-      result.read += weight * static_cast<double>(partition.Size(measure));
-      for (const Row& row : partition.segment().rows()) {
-        if (row.AttributeSynopsis().Intersects(query)) {
-          result.relevant +=
-              weight * static_cast<double>(RowSize(row, measure));
+  auto weight = [&](size_t i) { return i < weights.size() ? weights[i] : 1.0; };
+  std::vector<size_t> readers;  // Queries that read the current partition.
+  catalog.ForEachPartition([&](const Partition& partition) {
+    readers.clear();
+    for (size_t i = 0; i < workload.size(); ++i) {
+      if (partition.attribute_synopsis().Intersects(workload[i])) {
+        readers.push_back(i);
+      }
+    }
+    if (readers.empty()) return;
+    const double size = static_cast<double>(partition.Size(measure));
+    for (const size_t i : readers) result.read += weight(i) * size;
+    // Every row counts whichever tier holds it: a cold partition streams
+    // its chain once for the whole workload. A chain read fails only on
+    // store corruption, and this diagnostic has no status channel, so a
+    // failed read is fatal rather than a silently low ratio.
+    const Status read = partition.ForEachRow([&](const Row& row) {
+      const Synopsis attributes = row.AttributeSynopsis();
+      const double row_size = static_cast<double>(RowSize(row, measure));
+      for (const size_t i : readers) {
+        if (attributes.Intersects(workload[i])) {
+          result.relevant += weight(i) * row_size;
         }
       }
     });
-  }
+    CINDERELLA_CHECK(read.ok());
+  });
   result.efficiency = result.read > 0.0 ? result.relevant / result.read : 1.0;
   return result;
 }
@@ -71,8 +86,9 @@ EfficiencyBreakdown ComputeEfficiency(const CatalogView& view,
     const Synopsis& query = workload[i];
     const double weight = i < weights.size() ? weights[i] : 1.0;
     view.ForEachPartition([&](const PartitionVersion& version) {
-      // Cold versions carry no packed rows; a diagnostic must not pay
-      // chain I/O, so efficiency is computed over the hot residents only.
+      // Hot residents only: the tuner scores plans with this overload on
+      // every tick and must not pay chain I/O, so cold versions (which
+      // carry no packed rows) are left out of both sums.
       if (version.cold()) return;
       if (!version.attribute_synopsis().Intersects(query)) return;
       result.read +=

@@ -27,7 +27,8 @@ struct EfficiencyBreakdown {
 /// A partition is read by query q iff its attribute synopsis intersects q;
 /// an entity is relevant to q iff its attribute set intersects q. The
 /// result is in [0, 1]: the fraction of the data read that is actually
-/// relevant.
+/// relevant. Cold partitions count like hot ones: their rows are read
+/// back through the page chain (once per call, not once per query).
 EfficiencyBreakdown ComputeEfficiency(const PartitionCatalog& catalog,
                                       const std::vector<Synopsis>& workload,
                                       SizeMeasure measure);
@@ -45,7 +46,9 @@ EfficiencyBreakdown ComputeEfficiency(const PartitionCatalog& catalog,
 /// Definition 1 arithmetic over arena-packed partition versions. This is
 /// the accessor the background reorganizer plans with — it never touches
 /// the live catalog, so scoring holds no catalog locks. The view must
-/// stay pinned for the call's duration.
+/// stay pinned for the call's duration. Unlike the catalog overload it
+/// covers the hot versions only: the tuner scores on every tick and must
+/// not pay chain I/O, so cold versions are left out of both sums.
 EfficiencyBreakdown ComputeEfficiency(const CatalogView& view,
                                       const std::vector<Synopsis>& workload,
                                       SizeMeasure measure);

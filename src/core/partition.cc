@@ -78,6 +78,16 @@ Status Partition::ReplaceRow(Row row, const Synopsis& old_rating_synopsis,
   return Status::OK();
 }
 
+Status Partition::ForEachRow(
+    const std::function<void(const Row&)>& fn) const {
+  if (cold_chain_ == nullptr) {
+    for (const Row& row : segment_.rows()) fn(row);
+    return Status::OK();
+  }
+  return cold_chain_->tier->ReadChain(*cold_chain_,
+                                      [&](Row&& row) { fn(row); });
+}
+
 uint64_t Partition::Size(SizeMeasure measure) const {
   if (cold_chain_ != nullptr) {
     switch (measure) {

@@ -2,6 +2,7 @@
 #define CINDERELLA_CORE_PARTITION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -64,6 +65,13 @@ class Partition {
                     std::vector<AttributeId>* rating_ids_removed = nullptr);
 
   const Segment& segment() const { return segment_; }
+
+  /// Streams the partition's rows whichever tier holds them: hot rows in
+  /// segment scan order, cold rows in chain order, read through the
+  /// chain's tier (ColdChain::tier). Returns the chain read's status (OK
+  /// for a hot partition). Requires external serialization against
+  /// mutations, like every other accessor.
+  Status ForEachRow(const std::function<void(const Row&)>& fn) const;
 
   /// Set of attributes instantiated by at least one resident entity; the
   /// catalog synopsis used for query pruning.

@@ -1,5 +1,7 @@
 #include "core/universal_table.h"
 
+#include <optional>
+
 #include "common/logging.h"
 
 namespace cinderella {
@@ -72,9 +74,21 @@ StatusOr<Row> UniversalTable::Get(EntityId entity) const {
   }
   const Partition* partition = partitioner_->catalog().GetPartition(*home);
   CINDERELLA_CHECK(partition != nullptr);
-  const Row* row = partition->segment().Find(entity);
-  CINDERELLA_CHECK(row != nullptr);
-  return *row;
+  if (!partition->cold()) {
+    const Row* row = partition->segment().Find(entity);
+    CINDERELLA_CHECK(row != nullptr);
+    return *row;
+  }
+  // A cold partition has no point index: stream its chain.
+  std::optional<Row> found;
+  CINDERELLA_RETURN_IF_ERROR(partition->ForEachRow([&](const Row& row) {
+    if (row.id() == entity) found = row;
+  }));
+  if (!found.has_value()) {
+    return Status::Internal("entity " + std::to_string(entity) +
+                            " missing from its cold partition's chain");
+  }
+  return *std::move(found);
 }
 
 }  // namespace cinderella

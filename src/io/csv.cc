@@ -232,22 +232,24 @@ Status ExportCsv(const UniversalTable& table, std::ostream& out,
   }
   out << '\n';
 
-  // Deterministic order: collect and sort entity ids.
-  std::vector<EntityId> entities;
+  // Deterministic order: every row, whichever tier holds it, sorted by
+  // entity id.
+  std::vector<Row> rows;
+  rows.reserve(table.entity_count());
+  Status read;
   table.catalog().ForEachPartition([&](const Partition& partition) {
-    for (const Row& row : partition.segment().rows()) {
-      entities.push_back(row.id());
-    }
+    if (!read.ok()) return;
+    read = partition.ForEachRow([&](const Row& row) { rows.push_back(row); });
   });
-  std::sort(entities.begin(), entities.end());
+  CINDERELLA_RETURN_IF_ERROR(read);
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.id() < b.id(); });
 
-  for (EntityId entity : entities) {
-    StatusOr<Row> row = table.Get(entity);
-    CINDERELLA_RETURN_IF_ERROR(row.status());
-    out << entity;
+  for (const Row& row : rows) {
+    out << row.id();
     for (AttributeId id = 0; id < dictionary.size(); ++id) {
       out << ',';
-      const Value* value = row->Get(id);
+      const Value* value = row.Get(id);
       if (value != nullptr) WriteField(out, value->ToString());
     }
     out << '\n';

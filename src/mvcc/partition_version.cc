@@ -195,6 +195,29 @@ uint64_t CatalogView::byte_size() const {
   return total;
 }
 
+// -- CatalogCapture -----------------------------------------------------------
+
+CatalogCapture::CatalogCapture(const PartitionCatalog& catalog) {
+  // Unpooled: the last version's Unref deletes the arena. The constructor
+  // holds its own reference while packing, so a capture of an empty
+  // catalog frees the arena right here.
+  Arena* arena = new Arena();
+  arena->Ref();
+  view_.partitions_.reserve(catalog.partition_count());
+  catalog.ForEachPartition([&](const Partition& partition) {
+    const ColdTier* tier =
+        partition.cold() ? partition.cold_chain()->tier : nullptr;
+    view_.partitions_.push_back(new PartitionVersion(partition, arena, tier));
+    view_.entity_count_ += partition.entity_count();
+  });
+  view_.generation_ = 1;
+  arena->Unref();
+}
+
+CatalogCapture::~CatalogCapture() {
+  for (const PartitionVersion* version : view_.partitions_) delete version;
+}
+
 // -- ViewPool -----------------------------------------------------------------
 
 ViewPool::~ViewPool() {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "core/catalog.h"
 #include "core/partition.h"
 #include "storage/cold_tier.h"
 #include "storage/row.h"
@@ -229,8 +230,7 @@ class CatalogView {
   }
 
   /// Invokes `fn(const PartitionVersion&)` for every partition in id
-  /// order — the same shape as PartitionCatalog::ForEachPartition, so the
-  /// estimator templates over both.
+  /// order.
   template <typename Fn>
   void ForEachPartition(Fn&& fn) const {
     for (const PartitionVersion* version : partitions_) fn(*version);
@@ -263,6 +263,7 @@ class CatalogView {
  private:
   friend class VersionedTable;
   friend class ViewPool;
+  friend class CatalogCapture;
 
   std::vector<const PartitionVersion*> partitions_;
   uint64_t generation_ = 0;
@@ -272,6 +273,32 @@ class CatalogView {
   /// pointer doubles as the free-list link owner — see
   /// VersionedTable::ReclaimView.
   class ViewPool* pool_ = nullptr;
+};
+
+/// An owned, immutable CatalogView of a quiescent PartitionCatalog, for
+/// catalogs no VersionedTable publishes (the baseline partitioners, and
+/// the tests and figure benches that compare Cinderella with them). Every
+/// live partition — empty ones included, so scan counters match the
+/// catalog's partition count — is packed into one unpooled Arena that
+/// deletes itself when the capture's last version releases it. Cold
+/// partitions are carried as their page chains and read through
+/// ColdChain::tier, which must outlive the capture's scans. No synopsis
+/// tree is built, so scans over a capture take the flat path.
+///
+/// The catalog may change or die after the capture is taken; the capture
+/// keeps showing the state it packed.
+class CatalogCapture {
+ public:
+  explicit CatalogCapture(const PartitionCatalog& catalog);
+  ~CatalogCapture();
+
+  CatalogCapture(const CatalogCapture&) = delete;
+  CatalogCapture& operator=(const CatalogCapture&) = delete;
+
+  const CatalogView& view() const { return view_; }
+
+ private:
+  CatalogView view_;
 };
 
 /// Free list of recycled CatalogView objects (kept constructed so their

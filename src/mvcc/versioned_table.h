@@ -20,13 +20,9 @@
 namespace cinderella {
 
 /// The epoch-based MVCC read engine: a facade over a Cinderella
-/// partitioner that supersedes ConcurrentTable for the read path.
-///
-/// ConcurrentTable serializes every reader against the ingest writer on
-/// one shared_mutex; during batched ingest (whose rating scans and split
-/// cascades run under the exclusive lock) selective queries starve
-/// exactly when the partitioning is adapting. VersionedTable removes the
-/// reader lock entirely:
+/// partitioner and the table's one read path. Readers never take a lock
+/// the writer holds, so selective queries keep running while batched
+/// ingest (rating scans, split cascades) adapts the partitioning:
 ///
 ///  - Writers (Insert/Update/Delete/DeleteBatch/InsertBatch) mutate the
 ///    live catalog as before, serialized on an internal writer mutex, and

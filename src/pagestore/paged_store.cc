@@ -77,7 +77,7 @@ Status PagedStore::AppendToChain(PartitionChain& chain,
         entity_index_[row.id()] =
             RowLocation{partition_index, chain.pages.back(), *slot};
       }
-      ++chain.live_rows;
+      ++chain.row_count;
       return Status::OK();
     }
   }
@@ -97,7 +97,7 @@ Status PagedStore::AppendToChain(PartitionChain& chain,
   if (track_entities_) {
     entity_index_[row.id()] = RowLocation{partition_index, *page, *slot};
   }
-  ++chain.live_rows;
+  ++chain.row_count;
   return Status::OK();
 }
 
@@ -133,13 +133,13 @@ Status PagedStore::Delete(EntityId entity) {
   }
   entity_index_.erase(it);
   PartitionChain& chain = partitions_[index];
-  CINDERELLA_CHECK(chain.live_rows > 0);
-  --chain.live_rows;
+  CINDERELLA_CHECK(chain.row_count > 0);
+  --chain.row_count;
   ++chain.tombstones;
   // Automatic vacuum: once a chain is mostly dead space its synopsis is a
   // stale over-approximation and scans fetch pages of tombstones — compact
   // it and rebuild the synopsis from the survivors.
-  const uint64_t slots = chain.live_rows + chain.tombstones;
+  const uint64_t slots = chain.row_count + chain.tombstones;
   if (vacuum_threshold_ > 0.0 && slots > 0 &&
       static_cast<double>(chain.tombstones) >=
           vacuum_threshold_ * static_cast<double>(slots)) {
@@ -230,7 +230,7 @@ Status PagedStore::VacuumChain(size_t index) {
   std::vector<PageId> old_pages = std::move(chain.pages);
   chain.pages.clear();
   chain.synopsis.Clear();
-  chain.live_rows = 0;
+  chain.row_count = 0;
   chain.tombstones = 0;
   for (const Row& row : live) {
     CINDERELLA_RETURN_IF_ERROR(AppendToChain(chain, index, row));
@@ -264,7 +264,7 @@ size_t PagedStore::PartitionPageCount(size_t index) const {
 
 uint64_t PagedStore::PartitionRowCount(size_t index) const {
   CINDERELLA_CHECK(index < partitions_.size());
-  return partitions_[index].live_rows;
+  return partitions_[index].row_count;
 }
 
 uint64_t PagedStore::PartitionTombstoneCount(size_t index) const {

@@ -115,7 +115,7 @@ class PagedStore {
   struct PartitionChain {
     std::vector<PageId> pages;
     Synopsis synopsis;
-    uint64_t live_rows = 0;
+    uint64_t row_count = 0;
     uint64_t tombstones = 0;
     bool dropped = false;
   };

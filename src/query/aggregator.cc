@@ -175,7 +175,7 @@ void RunTwoPhase(ThreadPool* pool, size_t morsel, bool fixed_chunks,
                    [&](Out out) {
                      MergeMetrics(out.metrics, &result->metrics);
                      if (observe) {
-                       MergeTouches(std::move(out.touches), touches);
+                       AppendChunk(std::move(out.touches), touches);
                      }
                      if (merged.empty()) {
                        merged = std::move(out.map);
@@ -253,7 +253,7 @@ void RunRadix(ThreadPool* pool, size_t morsel, bool fixed_chunks,
                    [&](Out out) {
                      MergeMetrics(out.metrics, &result->metrics);
                      if (observe) {
-                       MergeTouches(std::move(out.touches), touches);
+                       AppendChunk(std::move(out.touches), touches);
                      }
                      for (size_t b = 0; b < out.buckets.size(); ++b) {
                        std::vector<Entry>& chunk_bucket = out.buckets[b];
@@ -440,7 +440,7 @@ bool RunShared(ThreadPool* pool, size_t morsel, bool fixed_chunks,
                    [&](Out out) {
                      MergeMetrics(out.metrics, &metrics);
                      if (observe) {
-                       MergeTouches(std::move(out.touches), touches);
+                       AppendChunk(std::move(out.touches), touches);
                      }
                    });
   if (overflow.load(std::memory_order_relaxed)) return false;
@@ -477,13 +477,6 @@ const char* AggregateStrategyName(AggregateStrategy strategy) {
   }
   return "unknown";
 }
-
-Aggregator::Aggregator(const PartitionCatalog& catalog,
-                       AggregatorOptions options)
-    : catalog_(&catalog),
-      options_(options),
-      degree_(ThreadPool::ResolveDegree(options.scan_threads)),
-      morsel_(ThreadPool::ResolveScanChunk(options.morsel)) {}
 
 Aggregator::Aggregator(const CatalogView& view, AggregatorOptions options)
     : view_(&view),
@@ -568,30 +561,17 @@ SampleStats SampleGroups(const std::vector<ScanSource>& sources,
   return stats;
 }
 
-}  // namespace
-
-AggregateStrategy Aggregator::Choose(const AggregateSpec& spec,
-                                     uint64_t* estimated_groups) const {
-  const GroupCardinalityEstimate bound =
-      catalog_ != nullptr
-          ? EstimateGroupCardinality(*catalog_, spec.group_by)
-          : EstimateGroupCardinality(*view_, spec.group_by);
-  const uint64_t upper = bound.groups_upper_bound();
-  PruneSpec prune;
-  prune.group = Synopsis({spec.group_by});
-  prune.where_prunable =
-      spec.where != nullptr && spec.where->PruningSynopsis(&prune.where);
-  const std::vector<ScanSource> sources = SnapshotSources(catalog_, view_);
-  const SampleStats stats =
-      SampleGroups(sources, spec, prune, options_.sample_rows, upper);
-  *estimated_groups = stats.estimated_groups;
-
-  if (degree_ <= 1) {
+/// The adaptive chooser: picks a strategy from the sample's group
+/// estimate and heavy-hitter share at the operator's scan degree.
+AggregateStrategy ChooseStrategy(const SampleStats& stats,
+                                 const AggregatorOptions& options,
+                                 int degree) {
+  if (degree <= 1) {
     // Serial: the shared table buys nothing (no contention to avoid),
     // but radix still wins at huge cardinality — 64 disjoint buckets
     // keep each aggregation table cache-resident where one monolithic
     // table of every group thrashes.
-    return stats.estimated_groups >= options_.radix_min_groups
+    return stats.estimated_groups >= options.radix_min_groups
                ? AggregateStrategy::kRadix
                : AggregateStrategy::kTwoPhase;
   }
@@ -599,18 +579,20 @@ AggregateStrategy Aggregator::Choose(const AggregateSpec& spec,
   // Few groups with no dominant key: the shared table's hot slots stay
   // cache-resident. A dominant key (>50% of the sample) would serialize
   // every thread on one slot's atomics, so it falls through.
-  if (stats.estimated_groups <= options_.shared_max_groups &&
+  if (stats.estimated_groups <= options.shared_max_groups &&
       stats.top_share <= 0.5) {
     return AggregateStrategy::kSharedTable;
   }
   // Huge group counts: per-thread tables each grow to the full group
   // count and fall out of cache; radix buckets keep the working set
   // 1/64th of that.
-  if (stats.estimated_groups >= options_.radix_min_groups) {
+  if (stats.estimated_groups >= options.radix_min_groups) {
     return AggregateStrategy::kRadix;
   }
   return AggregateStrategy::kTwoPhase;
 }
+
+}  // namespace
 
 AggregationResult Aggregator::Aggregate(const AggregateSpec& spec) {
   AggregationResult result;
@@ -618,11 +600,18 @@ AggregationResult Aggregator::Aggregate(const AggregateSpec& spec) {
   prune.group = Synopsis({spec.group_by});
   prune.where_prunable =
       spec.where != nullptr && spec.where->PruningSynopsis(&prune.where);
-  const std::vector<ScanSource> sources = SnapshotSources(catalog_, view_);
+  std::vector<ScanSource> sources;
+  AppendSources(*view_, &sources);
 
   AggregateStrategy strategy = options_.strategy;
   if (strategy == AggregateStrategy::kAdaptive) {
-    strategy = Choose(spec, &result.estimated_groups);
+    // The sample reads the query's own sources: cold rows it fetches stay
+    // parked in them for the scan below.
+    const SampleStats stats = SampleGroups(
+        sources, spec, prune, options_.sample_rows,
+        EstimateGroupCardinality(*view_, spec.group_by).groups_upper_bound());
+    result.estimated_groups = stats.estimated_groups;
+    strategy = ChooseStrategy(stats, options_, degree_);
   }
   result.strategy_used = strategy;
   const bool observe = observer_ != nullptr;

@@ -79,8 +79,8 @@ struct GroupResult {
 };
 
 /// Aggregation output. `groups` is sorted ascending by ValueLess on the
-/// key — the canonical order every strategy, thread count, and source
-/// (live catalog or pinned snapshot of the same data) reproduces exactly.
+/// key — the canonical order every strategy, thread count, and snapshot
+/// of the same data reproduces exactly.
 struct AggregationResult {
   std::vector<GroupResult> groups;
   ScanMetrics metrics;  // rows_matched counts participating rows.
@@ -128,18 +128,15 @@ struct AggregatorOptions {
   size_t shared_table_capacity = 0;
 };
 
-/// Parallel GROUP BY operator over a partition catalog or a pinned MVCC
-/// snapshot, morsel-scheduled like QueryExecutor (same ScanSource
-/// plumbing, same pruning, same determinism contract: results are
-/// bit-identical across strategies, thread counts, and schedules).
+/// Parallel GROUP BY operator over a pinned MVCC snapshot,
+/// morsel-scheduled like QueryExecutor (same ScanSource plumbing, same
+/// pruning, same determinism contract: results are bit-identical across
+/// strategies, thread counts, and schedules).
 ///
-/// Not thread-safe; use one instance per querying thread. When
-/// constructed over a CatalogView, the view must stay pinned for the
-/// Aggregate calls' duration.
+/// Not thread-safe; use one instance per querying thread. The view must
+/// stay pinned for the Aggregate calls' duration.
 class Aggregator {
  public:
-  explicit Aggregator(const PartitionCatalog& catalog,
-                      AggregatorOptions options = {});
   explicit Aggregator(const CatalogView& view, AggregatorOptions options = {});
 
   /// Runs one GROUP BY query; picks the strategy per `options.strategy`.
@@ -159,12 +156,7 @@ class Aggregator {
  private:
   ThreadPool* pool();
 
-  AggregateStrategy Choose(const AggregateSpec& spec,
-                           uint64_t* estimated_groups) const;
-
-  // Exactly one of the two sources is set.
-  const PartitionCatalog* catalog_ = nullptr;
-  const CatalogView* view_ = nullptr;
+  const CatalogView* view_;
   AggregatorOptions options_;
   int degree_;
   size_t morsel_;

@@ -4,25 +4,35 @@
 #include <cstdio>
 
 #include "mvcc/partition_version.h"
+#include "query/scan_source.h"
 
 namespace cinderella {
 namespace {
 
-// Shared over both metadata sources: PartitionCatalog yields Partition,
-// CatalogView yields PartitionVersion; both expose id(), entity_count(),
-// attribute_synopsis() and AttributeCarrierCount() with identical
-// semantics, so the arithmetic is written once.
-template <typename Catalog>
-SelectivityEstimate EstimateImpl(const Catalog& catalog, const Query& query) {
+/// Invokes `fn(version)` for every partition the view's synopsis tree
+/// keeps as a candidate for `probe` (every partition without a tree).
+/// Non-candidates cannot intersect the probe, and every caller below
+/// prunes on Intersects, so the walk changes no per-partition
+/// contribution; table-wide totals come from the view itself.
+template <typename Fn>
+void ForEachCandidate(const CatalogView& view, const Synopsis& probe,
+                      Fn&& fn) {
+  ForEachTreeCandidate(view, probe, fn, [](const PartitionVersion&) {});
+}
+
+}  // namespace
+
+SelectivityEstimate EstimateSelectivity(const CatalogView& view,
+                                        const Query& query) {
   SelectivityEstimate estimate;
-  catalog.ForEachPartition([&](const auto& partition) {
-    const uint64_t n = partition.entity_count();
-    estimate.table_entities += n;
+  estimate.table_entities = view.entity_count();
+  ForEachCandidate(view, query.attributes(),
+                   [&](const PartitionVersion& partition) {
     if (!partition.attribute_synopsis().Intersects(query.attributes())) {
-      ++estimate.partitions_pruned;
       return;
     }
     ++estimate.partitions_scanned;
+    const uint64_t n = partition.entity_count();
     uint64_t sum = 0;
     uint64_t peak = 0;
     double miss_probability = 1.0;
@@ -38,15 +48,16 @@ SelectivityEstimate EstimateImpl(const Catalog& catalog, const Query& query) {
     estimate.rows_estimate +=
         static_cast<double>(n) * (1.0 - miss_probability);
   });
+  estimate.partitions_pruned =
+      view.partition_count() - estimate.partitions_scanned;
   return estimate;
 }
 
-template <typename Catalog>
-GroupCardinalityEstimate GroupCardinalityImpl(const Catalog& catalog,
-                                              AttributeId attribute) {
+GroupCardinalityEstimate EstimateGroupCardinality(const CatalogView& view,
+                                                  AttributeId attribute) {
   GroupCardinalityEstimate estimate;
-  catalog.ForEachPartition([&](const auto& partition) {
-    estimate.table_entities += partition.entity_count();
+  estimate.table_entities = view.entity_count();
+  view.ForEachPartition([&](const PartitionVersion& partition) {
     const uint64_t carriers = partition.AttributeCarrierCount(attribute);
     if (carriers == 0) return;
     ++estimate.partitions_carrying;
@@ -57,32 +68,9 @@ GroupCardinalityEstimate GroupCardinalityImpl(const Catalog& catalog,
   return estimate;
 }
 
-/// Catalog adapter that walks only the partitions the view's synopsis
-/// tree keeps as candidates for `probe` — non-candidates cannot
-/// intersect the probe (union soundness), so every estimator loop that
-/// prunes on Intersects produces identical per-partition contributions;
-/// only the table-wide totals need patching by the caller.
-struct TreePrunedView {
-  const CatalogView& view;
-  const Synopsis& probe;
-
-  template <typename Fn>
-  void ForEachPartition(Fn&& fn) const {
-    const std::vector<const PartitionVersion*>& parts = view.partitions();
-    const std::vector<uint64_t>& words = probe.words();
-    size_t i = 0;
-    view.tree().ForEachCandidate(
-        words.data(), words.size(), [&](uint64_t key) {
-          while (i < parts.size() && parts[i]->id() < key) ++i;
-          if (i < parts.size() && parts[i]->id() == key) fn(*parts[i++]);
-        });
-  }
-};
-
-template <typename Catalog>
-std::string ExplainImpl(const Catalog& catalog, const Query& query,
-                        size_t max_partitions,
-                        const SelectivityEstimate& estimate) {
+std::string ExplainQuery(const CatalogView& view, const Query& query,
+                         size_t max_partitions) {
+  const SelectivityEstimate estimate = EstimateSelectivity(view, query);
   char line[256];
   std::string out;
   std::snprintf(line, sizeof(line),
@@ -105,7 +93,8 @@ std::string ExplainImpl(const Catalog& catalog, const Query& query,
   out += line;
 
   size_t listed = 0;
-  catalog.ForEachPartition([&](const auto& partition) {
+  ForEachCandidate(view, query.attributes(),
+                   [&](const PartitionVersion& partition) {
     if (!partition.attribute_synopsis().Intersects(query.attributes())) {
       return;
     }
@@ -131,56 +120,6 @@ std::string ExplainImpl(const Catalog& catalog, const Query& query,
     out += line;
   }
   return out;
-}
-
-}  // namespace
-
-SelectivityEstimate EstimateSelectivity(const PartitionCatalog& catalog,
-                                        const Query& query) {
-  return EstimateImpl(catalog, query);
-}
-
-SelectivityEstimate EstimateSelectivity(const CatalogView& view,
-                                        const Query& query) {
-  if (!view.tree().valid()) return EstimateImpl(view, query);
-  SelectivityEstimate estimate =
-      EstimateImpl(TreePrunedView{view, query.attributes()}, query);
-  // Tree-skipped partitions would all have counted as pruned; their
-  // entities still belong in the table total.
-  estimate.partitions_pruned += view.partition_count() -
-                                (estimate.partitions_scanned +
-                                 estimate.partitions_pruned);
-  estimate.table_entities = view.entity_count();
-  return estimate;
-}
-
-GroupCardinalityEstimate EstimateGroupCardinality(
-    const PartitionCatalog& catalog, AttributeId attribute) {
-  return GroupCardinalityImpl(catalog, attribute);
-}
-
-GroupCardinalityEstimate EstimateGroupCardinality(const CatalogView& view,
-                                                  AttributeId attribute) {
-  return GroupCardinalityImpl(view, attribute);
-}
-
-std::string ExplainQuery(const PartitionCatalog& catalog, const Query& query,
-                         size_t max_partitions) {
-  return ExplainImpl(catalog, query, max_partitions,
-                     EstimateImpl(catalog, query));
-}
-
-std::string ExplainQuery(const CatalogView& view, const Query& query,
-                         size_t max_partitions) {
-  // The partition listing only prints intersecting partitions, so the
-  // tree-pruned walk renders the same text; the header totals come from
-  // the (already patched) estimate.
-  const SelectivityEstimate estimate = EstimateSelectivity(view, query);
-  if (!view.tree().valid()) {
-    return ExplainImpl(view, query, max_partitions, estimate);
-  }
-  return ExplainImpl(TreePrunedView{view, query.attributes()}, query,
-                     max_partitions, estimate);
 }
 
 }  // namespace cinderella

@@ -9,7 +9,7 @@
 namespace cinderella {
 
 /// Selectivity estimate for an attribute-set query, derived purely from
-/// catalog metadata (partition synopses and per-partition attribute
+/// snapshot metadata (partition synopses and per-partition attribute
 /// carrier counts) — no data access.
 ///
 /// For an OR-of-IS-NOT-NULL query over attributes Q and a partition with
@@ -59,32 +59,20 @@ struct GroupCardinalityEstimate {
 
 class CatalogView;  // mvcc/partition_version.h
 
-/// Bounds the group cardinality of GROUP BY `attribute` from catalog
-/// metadata only — no data access.
-GroupCardinalityEstimate EstimateGroupCardinality(
-    const PartitionCatalog& catalog, AttributeId attribute);
-
-/// Same bounds over a pinned MVCC snapshot.
+/// Bounds the group cardinality of GROUP BY `attribute` from the pinned
+/// snapshot's metadata only — no data access.
 GroupCardinalityEstimate EstimateGroupCardinality(const CatalogView& view,
                                                   AttributeId attribute);
 
-/// Estimates how many entities match `query` without reading any row.
-SelectivityEstimate EstimateSelectivity(const PartitionCatalog& catalog,
-                                        const Query& query);
-
-/// Same estimate over a pinned MVCC snapshot (partition versions carry
-/// the same synopses and carrier counts the live catalog does, frozen at
-/// publication time).
+/// Estimates how many entities match `query` without reading any row
+/// (partition versions carry the synopses and carrier counts of their
+/// partitions, frozen at publication time).
 SelectivityEstimate EstimateSelectivity(const CatalogView& view,
                                         const Query& query);
 
 /// Renders a human-readable access plan for `query`: which partitions
 /// would be scanned/pruned with their sizes and estimated yields — the
 /// CLI's EXPLAIN. `max_partitions` caps the listing.
-std::string ExplainQuery(const PartitionCatalog& catalog, const Query& query,
-                         size_t max_partitions = 20);
-
-/// EXPLAIN against a pinned MVCC snapshot.
 std::string ExplainQuery(const CatalogView& view, const Query& query,
                          size_t max_partitions = 20);
 

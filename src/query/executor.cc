@@ -1,49 +1,13 @@
 #include "query/executor.h"
 
-#include <iterator>
+#include <type_traits>
 #include <utility>
 
-#include "core/concurrent_table.h"
 #include "mvcc/partition_version.h"
 #include "query/scan_source.h"
 
 namespace cinderella {
 namespace {
-
-/// Tree-pruned scan plan over a pinned view: builds sources for exactly
-/// the partitions whose subtree union intersects the probe (ascending
-/// id), recording the skipped ids when the caller collects touches.
-/// Union soundness makes the skip exact — a partition under a
-/// non-intersecting subtree cannot itself intersect the probe, so the
-/// flat path would have pruned it one-by-one. The caller bulk-counts the
-/// skipped partitions as pruned, keeping every counter bit-identical to
-/// the flat scan while the descent inspects only matching subtrees.
-/// Returns false (sources untouched) when no tree is attached.
-bool TryTreePrune(const CatalogView* view, const Synopsis& probe,
-                  std::vector<ScanSource>* sources,
-                  std::vector<PartitionId>* skipped) {
-  if (view == nullptr || !view->tree().valid()) return false;
-  const std::vector<const PartitionVersion*>& parts = view->partitions();
-  const std::vector<uint64_t>& words = probe.words();
-  size_t i = 0;
-  auto skip_until = [&](uint64_t key) {
-    while (i < parts.size() && parts[i]->id() < key) {
-      if (skipped != nullptr) skipped->push_back(parts[i]->id());
-      ++i;
-    }
-  };
-  view->tree().ForEachCandidate(
-      words.data(), words.size(), [&](uint64_t key) {
-        // Candidate keys ascend, so one forward pass aligns the
-        // (ascending) version array.
-        skip_until(key);
-        if (i < parts.size() && parts[i]->id() == key) {
-          sources->push_back(MakeVersionSource(*parts[i++]));
-        }
-      });
-  skip_until(UINT64_MAX);
-  return true;
-}
 
 /// Reinstates a pruned touch for every tree-skipped partition so the
 /// observer sees the same ascending, complete touch stream as a flat
@@ -74,32 +38,38 @@ ThreadPool* QueryExecutor::pool() {
   return pool_.get();
 }
 
-QueryResult QueryExecutor::ScanMatchingRows(const Predicate& predicate) {
-  QueryResult result;
-  match_buffer_.clear();
-  cold_keepalive_.clear();
-  Synopsis pruning;
-  const bool prunable = predicate.PruningSynopsis(&pruning);
+template <typename T, typename Match>
+QueryResult QueryExecutor::Scan(const Synopsis& probe, bool prunable,
+                                Match&& match, std::vector<T>* into) {
+  into->clear();
   const bool observe = observer_ != nullptr;
+  // Tree-pruned plan: sources for exactly the partitions whose subtree
+  // union meets the probe. Skipped partitions are bulk-counted as pruned
+  // below, keeping every counter bit-identical to the flat scan.
   std::vector<ScanSource> sources;
   std::vector<PartitionId> tree_skipped;
-  const bool tree_pruned =
-      prunable && TryTreePrune(view_, pruning, &sources,
-                               observe ? &tree_skipped : nullptr);
-  if (!tree_pruned) sources = SnapshotSources(catalog_, view_);
-  size_t table_entities = 0;
-  std::vector<PartitionTouch> touches;
+  if (prunable) {
+    ForEachTreeCandidate(
+        *view_, probe,
+        [&](const PartitionVersion& version) {
+          sources.push_back(MakeVersionSource(version));
+        },
+        [&](const PartitionVersion& version) {
+          if (observe) tree_skipped.push_back(version.id());
+        });
+  } else {
+    AppendSources(*view_, &sources);
+  }
 
   struct Out {
     ScanMetrics metrics;
-    size_t entities = 0;
-    std::vector<RowView> matches;
+    std::vector<T> matches;
     std::vector<PartitionTouch> touches;
   };
   auto scan = [&](const ScanSource& source, Out* out) {
     ++out->metrics.partitions_total;
-    out->entities += source.entities;
-    if (prunable && !source.synopsis.Intersects(pruning)) {
+    // Definition 1 pruning: skip partitions with sgn(|p ∧ q|) = 0.
+    if (prunable && !source.synopsis.Intersects(probe)) {
       ++out->metrics.partitions_pruned;
       if (observe) out->touches.push_back({source.partition, false, 0, 0});
       return;
@@ -110,55 +80,59 @@ QueryResult QueryExecutor::ScanMatchingRows(const Predicate& predicate) {
     out->metrics.bytes_read += source.bytes;
     const uint64_t matched_before = out->metrics.rows_matched;
     source.ForEachRow([&](const RowView& row) {
-      if (predicate.Matches(row)) {
-        ++out->metrics.rows_matched;
-        out->matches.push_back(row);
-      }
+      if (match(row, &out->matches)) ++out->metrics.rows_matched;
     });
     if (observe) {
       out->touches.push_back({source.partition, true, source.entities,
                               out->metrics.rows_matched - matched_before});
     }
   };
+  QueryResult result;
+  std::vector<PartitionTouch> touches;
   ChunkedScan<Out>(pool(), morsel_, /*fixed_chunks=*/false, sources, scan,
                    [&](Out out) {
     MergeMetrics(out.metrics, &result.metrics);
-    table_entities += out.entities;
-    if (match_buffer_.empty()) {
-      match_buffer_ = std::move(out.matches);
-    } else {
-      match_buffer_.insert(match_buffer_.end(), out.matches.begin(),
-                           out.matches.end());
-    }
-    if (observe) MergeTouches(std::move(out.touches), &touches);
+    AppendChunk(std::move(out.matches), into);
+    if (observe) AppendChunk(std::move(out.touches), &touches);
   });
-  // match_buffer_ views into chain-fetched cold rows must outlive the
-  // sources (ScanMatches consumes the buffer after this returns); keep
-  // the fetched deques until the next scan.
-  for (ScanSource& source : sources) {
-    if (source.cold_rows != nullptr) {
-      cold_keepalive_.push_back(std::move(source.cold_rows));
+  if constexpr (std::is_same_v<T, RowView>) {
+    // Matched views into chain-fetched cold rows must outlive the sources
+    // (ScanMatches consumes the buffer after this returns); keep the
+    // fetched deques until the next predicate scan.
+    cold_keepalive_.clear();
+    for (ScanSource& source : sources) {
+      if (source.cold_rows != nullptr) {
+        cold_keepalive_.push_back(std::move(source.cold_rows));
+      }
     }
   }
   if (observe) {
     MergeSkippedTouches(tree_skipped, &touches);
-    observer_->OnScan(pruning, touches);
+    observer_->OnScan(probe, touches);
   }
-  if (tree_pruned) {
-    // Every tree-skipped partition would have been pruned one-by-one by
-    // the flat scan; counters and selectivity denominator stay identical.
-    const uint64_t skipped_count =
-        static_cast<uint64_t>(view_->partition_count() - sources.size());
-    result.metrics.partitions_total += skipped_count;
-    result.metrics.partitions_pruned += skipped_count;
-    table_entities = view_->entity_count();
-  }
+  const uint64_t skipped_count =
+      static_cast<uint64_t>(view_->partition_count() - sources.size());
+  result.metrics.partitions_total += skipped_count;
+  result.metrics.partitions_pruned += skipped_count;
+  const size_t table_entities = view_->entity_count();
   result.selectivity =
       table_entities > 0
           ? static_cast<double>(result.metrics.rows_matched) /
                 static_cast<double>(table_entities)
           : 0.0;
   return result;
+}
+
+QueryResult QueryExecutor::ScanMatchingRows(const Predicate& predicate) {
+  Synopsis pruning;
+  const bool prunable = predicate.PruningSynopsis(&pruning);
+  return Scan(pruning, prunable,
+              [&](const RowView& row, std::vector<RowView>* matches) {
+                if (!predicate.Matches(row)) return false;
+                matches->push_back(row);
+                return true;
+              },
+              &match_buffer_);
 }
 
 QueryResult QueryExecutor::ExecutePredicate(const Predicate& predicate) {
@@ -192,167 +166,43 @@ QueryResult QueryExecutor::ExecuteSelect(const SelectStatement& statement) {
 }
 
 QueryResult QueryExecutor::Execute(const Query& query) {
-  QueryResult result;
-  result_buffer_.clear();
-  const bool observe = observer_ != nullptr;
-  std::vector<ScanSource> sources;
-  std::vector<PartitionId> tree_skipped;
-  const bool tree_pruned = TryTreePrune(
-      view_, query.attributes(), &sources, observe ? &tree_skipped : nullptr);
-  if (!tree_pruned) sources = SnapshotSources(catalog_, view_);
-  size_t table_entities = 0;
-  std::vector<PartitionTouch> touches;
-
-  struct Out {
-    ScanMetrics metrics;
-    size_t entities = 0;
-    std::vector<Value> values;
-    std::vector<PartitionTouch> touches;
-  };
-  auto scan = [&](const ScanSource& source, Out* out) {
-    ++out->metrics.partitions_total;
-    out->entities += source.entities;
-    // Definition 1 pruning: skip partitions with sgn(|p ∧ q|) = 0.
-    if (!source.synopsis.Intersects(query.attributes())) {
-      ++out->metrics.partitions_pruned;
-      if (observe) out->touches.push_back({source.partition, false, 0, 0});
-      return;
-    }
-    ++out->metrics.partitions_scanned;
-    out->metrics.rows_scanned += source.entities;
-    out->metrics.cells_read += source.cells;
-    out->metrics.bytes_read += source.bytes;
-    const uint64_t matched_before = out->metrics.rows_matched;
-    source.ForEachRow([&](const RowView& row) {
-      // OR-of-IS-NOT-NULL match; projection materializes the queried
-      // attributes that are present.
-      bool matched = false;
-      for (AttributeId attribute : query.projection()) {
-        const Value* value = row.Get(attribute);
-        if (value != nullptr) {
-          matched = true;
-          out->values.push_back(*value);
+  QueryResult result = Scan(
+      query.attributes(), /*prunable=*/true,
+      [&](const RowView& row, std::vector<Value>* values) {
+        // OR-of-IS-NOT-NULL match; projection materializes the queried
+        // attributes that are present.
+        bool matched = false;
+        for (AttributeId attribute : query.projection()) {
+          const Value* value = row.Get(attribute);
+          if (value != nullptr) {
+            matched = true;
+            values->push_back(*value);
+          }
         }
-      }
-      if (matched) ++out->metrics.rows_matched;
-    });
-    if (observe) {
-      out->touches.push_back({source.partition, true, source.entities,
-                              out->metrics.rows_matched - matched_before});
-    }
-  };
-  ChunkedScan<Out>(pool(), morsel_, /*fixed_chunks=*/false, sources, scan,
-                   [&](Out out) {
-    MergeMetrics(out.metrics, &result.metrics);
-    table_entities += out.entities;
-    if (result_buffer_.empty()) {
-      result_buffer_ = std::move(out.values);
-    } else {
-      result_buffer_.insert(result_buffer_.end(),
-                            std::make_move_iterator(out.values.begin()),
-                            std::make_move_iterator(out.values.end()));
-    }
-    if (observe) MergeTouches(std::move(out.touches), &touches);
-  });
-  if (observe) {
-    MergeSkippedTouches(tree_skipped, &touches);
-    observer_->OnScan(query.attributes(), touches);
-  }
-  if (tree_pruned) {
-    const uint64_t skipped_count =
-        static_cast<uint64_t>(view_->partition_count() - sources.size());
-    result.metrics.partitions_total += skipped_count;
-    result.metrics.partitions_pruned += skipped_count;
-    table_entities = view_->entity_count();
-  }
-
+        return matched;
+      },
+      &result_buffer_);
   result.cells_materialized = result_buffer_.size();
-  result.selectivity =
-      table_entities > 0
-          ? static_cast<double>(result.metrics.rows_matched) /
-                static_cast<double>(table_entities)
-          : 0.0;
   return result;
 }
 
 QueryResult QueryExecutor::ExecuteGather(const Query& query,
                                          std::vector<Row>* rows) {
-  QueryResult result;
-  rows->clear();
-  std::vector<ScanSource> sources;
-  const bool tree_pruned =
-      TryTreePrune(view_, query.attributes(), &sources, nullptr);
-  if (!tree_pruned) sources = SnapshotSources(catalog_, view_);
-  size_t table_entities = 0;
-
-  struct Out {
-    ScanMetrics metrics;
-    size_t entities = 0;
-    std::vector<Row> rows;
-  };
-  auto scan = [&](const ScanSource& source, Out* out) {
-    ++out->metrics.partitions_total;
-    out->entities += source.entities;
-    if (!source.synopsis.Intersects(query.attributes())) {
-      ++out->metrics.partitions_pruned;
-      return;
-    }
-    ++out->metrics.partitions_scanned;
-    out->metrics.rows_scanned += source.entities;
-    out->metrics.cells_read += source.cells;
-    out->metrics.bytes_read += source.bytes;
-    source.ForEachRow([&](const RowView& row) {
-      Row projected(row.id());
-      for (AttributeId attribute : query.projection()) {
-        const Value* value = row.Get(attribute);
-        if (value != nullptr) projected.Set(attribute, *value);
-      }
-      if (projected.attribute_count() > 0) {
-        ++out->metrics.rows_matched;
-        out->rows.push_back(std::move(projected));
-      }
-    });
-  };
-  ChunkedScan<Out>(pool(), morsel_, /*fixed_chunks=*/false, sources, scan,
-                   [&](Out out) {
-    MergeMetrics(out.metrics, &result.metrics);
-    table_entities += out.entities;
-    if (rows->empty()) {
-      *rows = std::move(out.rows);
-    } else {
-      rows->insert(rows->end(), std::make_move_iterator(out.rows.begin()),
-                   std::make_move_iterator(out.rows.end()));
-    }
-  });
-  if (tree_pruned) {
-    const uint64_t skipped_count =
-        static_cast<uint64_t>(view_->partition_count() - sources.size());
-    result.metrics.partitions_total += skipped_count;
-    result.metrics.partitions_pruned += skipped_count;
-    table_entities = view_->entity_count();
-  }
+  QueryResult result = Scan(
+      query.attributes(), /*prunable=*/true,
+      [&](const RowView& row, std::vector<Row>* gathered) {
+        Row projected(row.id());
+        for (AttributeId attribute : query.projection()) {
+          const Value* value = row.Get(attribute);
+          if (value != nullptr) projected.Set(attribute, *value);
+        }
+        if (projected.attribute_count() == 0) return false;
+        gathered->push_back(std::move(projected));
+        return true;
+      },
+      rows);
   for (const Row& row : *rows) result.cells_materialized += row.attribute_count();
-  result.selectivity =
-      table_entities > 0
-          ? static_cast<double>(result.metrics.rows_matched) /
-                static_cast<double>(table_entities)
-          : 0.0;
   return result;
-}
-
-OwnedQueryResult QueryOwnedRows(const ConcurrentTable& table,
-                                const Predicate& predicate, int scan_threads) {
-  OwnedQueryResult owned;
-  table.WithReadLock([&](const PartitionCatalog& catalog) {
-    QueryExecutor executor(catalog, scan_threads);
-    // Copy the matched rows while the shared lock is still held; the
-    // views ScanMatches yields die with the lock.
-    owned.result = executor.ScanMatches(
-        predicate,
-        [&](const RowView& row) { owned.rows.push_back(row.ToRow()); });
-    return 0;
-  });
-  return owned;
 }
 
 }  // namespace cinderella

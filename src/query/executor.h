@@ -16,8 +16,7 @@
 
 namespace cinderella {
 
-class CatalogView;       // mvcc/partition_version.h
-class ConcurrentTable;   // core/concurrent_table.h
+class CatalogView;  // mvcc/partition_version.h
 
 /// Per-query execution counters. The deterministic counters make the
 /// figure benches' shape assertions reproducible; wall time is measured by
@@ -94,9 +93,12 @@ struct QueryResult {
   }
 };
 
-/// Executes attribute-set queries against a partition catalog with
-/// synopsis-based pruning (the paper's rewrite to a UNION ALL over all
-/// partitions containing the requested attributes).
+/// Executes attribute-set queries against a pinned MVCC snapshot
+/// (mvcc/partition_version.h) with synopsis-based pruning (the paper's
+/// rewrite to a UNION ALL over all partitions containing the requested
+/// attributes). The view must stay pinned for the executor calls'
+/// duration: a VersionedTable snapshot, or a CatalogCapture of a catalog
+/// no VersionedTable publishes.
 ///
 /// Threading: with `scan_threads` != 1 the partition scan is spread
 /// across a fixed thread pool with morsel-driven scheduling — workers
@@ -113,16 +115,6 @@ struct QueryResult {
 /// thread-safe; use one instance per querying thread.
 class QueryExecutor {
  public:
-  explicit QueryExecutor(const PartitionCatalog& catalog, int scan_threads = 1,
-                         size_t scan_chunk = 0)
-      : catalog_(&catalog),
-        degree_(ThreadPool::ResolveDegree(scan_threads)),
-        morsel_(ThreadPool::ResolveScanChunk(scan_chunk)) {}
-
-  /// Executes against a pinned MVCC snapshot (mvcc/partition_version.h)
-  /// instead of the live catalog: same pruning, same deterministic merge
-  /// order, same counters — the view must stay pinned for the executor
-  /// calls' duration. This is the lock-free read path of VersionedTable.
   explicit QueryExecutor(const CatalogView& view, int scan_threads = 1,
                          size_t scan_chunk = 0)
       : view_(&view),
@@ -156,8 +148,9 @@ class QueryExecutor {
   /// Like ExecutePredicate, invoking `fn(const RowView&)` for every match
   /// in partition-id-then-row order. Predicate evaluation may run on the
   /// scan pool; `fn` always runs on the calling thread, after the scan.
-  /// The views borrow from the scanned source (live catalog or pinned
-  /// snapshot); copy via RowView::ToRow() to keep a row past the scan.
+  /// The views borrow from the pinned snapshot (or from rows fetched off
+  /// its cold chains); copy via RowView::ToRow() to keep a row past the
+  /// scan.
   template <typename Fn>
   QueryResult ScanMatches(const Predicate& predicate, Fn&& fn) {
     QueryResult result = ScanMatchingRows(predicate);
@@ -178,12 +171,22 @@ class QueryExecutor {
   /// partition-id-then-row order and returning the filled-in metrics.
   QueryResult ScanMatchingRows(const Predicate& predicate);
 
+  /// The one scan routine behind every entry point (defined and
+  /// instantiated in executor.cc): plans the scan (synopsis-tree candidates
+  /// or every partition), runs `match(row, &chunk_buffer)` over each row of
+  /// every partition whose synopsis meets `probe` (every partition when
+  /// !prunable), appends the chunk buffers to `*into` (cleared first) in
+  /// partition-id order, reports the touches to the observer, and fills
+  /// in the counters and selectivity. `match` returns whether the row
+  /// matched.
+  template <typename T, typename Match>
+  QueryResult Scan(const Synopsis& probe, bool prunable, Match&& match,
+                   std::vector<T>* into);
+
   /// Lazily created pool; nullptr while degree_ == 1.
   ThreadPool* pool();
 
-  // Exactly one of the two sources is set.
-  const PartitionCatalog* catalog_ = nullptr;
-  const CatalogView* view_ = nullptr;
+  const CatalogView* view_;
   int degree_;
   size_t morsel_;  // Morsel granularity, in partitions.
   ScanObserver* observer_ = nullptr;
@@ -196,25 +199,6 @@ class QueryExecutor {
   // scan clears both.
   std::vector<std::shared_ptr<std::deque<Row>>> cold_keepalive_;
 };
-
-/// A predicate query result whose matched rows are owned copies, safe to
-/// use after every lock is released.
-struct OwnedQueryResult {
-  QueryResult result;
-  std::vector<Row> rows;
-};
-
-/// Runs a predicate scan over `table` and returns owned copies of the
-/// matching rows.
-///
-/// This is the safe idiom for row-returning queries against a
-/// ConcurrentTable: row pointers collected inside WithReadLock (e.g. via
-/// ScanMatches) dangle as soon as the shared lock is released, because a
-/// writer may then move, reallocate, or delete the underlying segments.
-/// The copies here are made while the lock is still held.
-OwnedQueryResult QueryOwnedRows(const ConcurrentTable& table,
-                                const Predicate& predicate,
-                                int scan_threads = 1);
 
 }  // namespace cinderella
 

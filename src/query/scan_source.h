@@ -2,13 +2,13 @@
 #define CINDERELLA_QUERY_SCAN_SOURCE_H_
 
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/catalog.h"
 #include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "storage/cold_tier.h"
@@ -17,21 +17,21 @@
 
 namespace cinderella {
 
-/// Internal plumbing shared by the scan operators (query/executor.cc and
-/// query/aggregator.cc). Not part of the public query API: the types here
-/// borrow from a live catalog or a pinned MVCC view and die with it.
+/// Internal plumbing shared by the scan operators (query/executor.cc,
+/// query/aggregator.cc and query/estimator.cc). Not part of the public
+/// query API: the types here borrow from a pinned MVCC view and die with
+/// it.
 
-/// Uniform scan input: what one partition contributes to a scan, whether
-/// it comes from the live catalog (heap-backed Row objects) or from an
-/// arena-packed MVCC version (row headers plus one shared cell array).
-/// Either way the scan body sees RowViews, so predicate evaluation,
-/// projection, and aggregation are layout-agnostic.
+/// Uniform scan input: what one partition version contributes to a scan,
+/// whether its rows are arena-packed (row headers plus one shared cell
+/// array) or live in a cold page chain. Either way the scan body sees
+/// RowViews, so predicate evaluation, projection, and aggregation are
+/// layout-agnostic.
 struct ScanSource {
   PartitionId partition = 0;  // Catalog partition id (tuner attribution).
   SynopsisSpan synopsis;      // Pruning synopsis.
-  // Exactly one layout is set per source: live catalog rows, packed MVCC
-  // rows, or a cold page chain.
-  const std::vector<Row>* live_rows = nullptr;
+  // Exactly one layout is set per source: packed MVCC rows or a cold page
+  // chain.
   const PartitionVersion::PackedRow* packed_rows = nullptr;
   const Row::Cell* packed_cells = nullptr;
   // Cold source: rows live in a page chain and are only fetched when the
@@ -49,10 +49,6 @@ struct ScanSource {
 
   template <typename Fn>
   void ForEachRow(Fn&& fn) const {
-    if (live_rows != nullptr) {
-      for (const Row& row : *live_rows) fn(RowView(row));
-      return;
-    }
     if (cold_chain != nullptr) {
       if (cold_rows->empty()) {
         // A chain read can only fail on store corruption; scans have no
@@ -93,33 +89,6 @@ inline ScanSource MakeVersionSource(const PartitionVersion& version) {
   return source;
 }
 
-inline void AppendSources(const PartitionCatalog& catalog,
-                          std::vector<ScanSource>* sources) {
-  sources->reserve(catalog.partition_count());
-  catalog.ForEachPartition([&](const Partition& partition) {
-    ScanSource source;
-    source.partition = partition.id();
-    source.synopsis = partition.attribute_synopsis().span();
-    source.entities = partition.entity_count();
-    if (partition.cold()) {
-      // Cold live partition: segment is empty; scan through the chain.
-      // Live-catalog scans run under the table's external serialization,
-      // so the partition cannot fault in mid-scan.
-      const ColdChain& chain = *partition.cold_chain();
-      source.cold_chain = &chain;
-      source.cold_tier = chain.tier;
-      source.cold_rows = std::make_shared<std::deque<Row>>();
-      source.cells = chain.cells;
-      source.bytes = chain.bytes;
-    } else {
-      source.live_rows = &partition.segment().rows();
-      source.cells = partition.segment().cell_count();
-      source.bytes = partition.segment().byte_size();
-    }
-    sources->push_back(source);
-  });
-}
-
 inline void AppendSources(const CatalogView& view,
                           std::vector<ScanSource>* sources) {
   sources->reserve(view.partition_count());
@@ -128,30 +97,48 @@ inline void AppendSources(const CatalogView& view,
   });
 }
 
-/// Snapshot of whichever source the operator was constructed over
-/// (exactly one of the two is non-null).
-inline std::vector<ScanSource> SnapshotSources(const PartitionCatalog* catalog,
-                                               const CatalogView* view) {
-  std::vector<ScanSource> sources;
-  if (catalog != nullptr) {
-    AppendSources(*catalog, &sources);
-  } else {
-    AppendSources(*view, &sources);
+/// Walks the view's partitions in ascending id order, calling
+/// `candidate(version)` for each partition the synopsis tree keeps as a
+/// candidate for `probe` and `skipped(version)` for every other one. A
+/// view without a tree makes every partition a candidate. Union soundness
+/// makes the skip exact: a partition under a non-intersecting subtree
+/// cannot itself intersect the probe, so a flat scan would have pruned it
+/// one by one.
+template <typename Candidate, typename Skipped>
+void ForEachTreeCandidate(const CatalogView& view, const Synopsis& probe,
+                          Candidate&& candidate, Skipped&& skipped) {
+  const std::vector<const PartitionVersion*>& parts = view.partitions();
+  if (!view.tree().valid()) {
+    for (const PartitionVersion* version : parts) candidate(*version);
+    return;
   }
-  return sources;
+  const std::vector<uint64_t>& words = probe.words();
+  size_t i = 0;
+  auto skip_until = [&](uint64_t key) {
+    while (i < parts.size() && parts[i]->id() < key) skipped(*parts[i++]);
+  };
+  view.tree().ForEachCandidate(
+      words.data(), words.size(), [&](uint64_t key) {
+        // Candidate keys ascend, so one forward pass aligns the
+        // (ascending) version array.
+        skip_until(key);
+        if (i < parts.size() && parts[i]->id() == key) candidate(*parts[i++]);
+      });
+  skip_until(UINT64_MAX);
 }
 
-/// Appends one chunk's partition touches to the query-wide list. Chunks
-/// merge in ascending partition-id order (ChunkedScan's contract), so the
-/// concatenation is globally id-ordered — exactly what ScanObserver
-/// promises.
-inline void MergeTouches(std::vector<PartitionTouch>&& from,
-                         std::vector<PartitionTouch>* into) {
+/// Appends one chunk's output (partition touches, matched rows, projected
+/// values) to the query-wide buffer. Chunks merge in ascending
+/// partition-id order (ChunkedScan's contract), so the concatenation is
+/// globally id-ordered — exactly what ScanObserver promises for touches.
+template <typename T>
+void AppendChunk(std::vector<T>&& from, std::vector<T>* into) {
   if (into->empty()) {
     *into = std::move(from);
     return;
   }
-  into->insert(into->end(), from.begin(), from.end());
+  into->insert(into->end(), std::make_move_iterator(from.begin()),
+               std::make_move_iterator(from.end()));
 }
 
 inline void MergeMetrics(const ScanMetrics& from, ScanMetrics* into) {

@@ -34,10 +34,10 @@ struct ColdChain {
   uint64_t bytes = 0;
   /// Pages the chain occupies (tier residency reporting).
   uint32_t pages = 0;
-  /// The tier that wrote the chain — scan plumbing for readers that hold
-  /// only the descriptor (live-catalog scan sources). Valid while the
-  /// tier is open; readers must not outlive it (the same contract every
-  /// cold read path already has).
+  /// The tier that wrote the chain — the read path for holders of only
+  /// the descriptor (Partition::ForEachRow, CatalogCapture). Valid while
+  /// the tier is open; readers must not outlive it (the same contract
+  /// every cold read path already has).
   const ColdTier* tier = nullptr;
 };
 

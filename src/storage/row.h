@@ -65,9 +65,9 @@ class Row {
 
 /// A non-owning view of one row: the entity id plus a span of cells
 /// sorted by attribute id. The scan path hands out RowViews so the same
-/// predicate/projection code runs over heap-backed Rows (live catalog)
-/// and over the packed cell arrays of arena-backed MVCC versions
-/// (mvcc/partition_version.h) without copying either.
+/// predicate/projection code runs over heap-backed Rows (fetched from
+/// cold page chains) and over the packed cell arrays of arena-backed MVCC
+/// versions (mvcc/partition_version.h) without copying either.
 ///
 /// A default-constructed view is invalid (point-lookup miss). Lookup
 /// semantics are exactly Row's: Get() binary-searches the sorted cells.
@@ -77,7 +77,7 @@ class RowView {
   RowView(EntityId id, const Row::Cell* cells, size_t cell_count)
       : id_(id), cells_(cells), cell_count_(cell_count), valid_(true) {}
 
-  /// Implicit on purpose: call sites holding a Row (tests, live-catalog
+  /// Implicit on purpose: call sites holding a Row (tests, cold-chain
   /// scans) pass it wherever a RowView is consumed.
   RowView(const Row& row)  // NOLINT(google-explicit-constructor)
       : RowView(row.id(), row.cells().data(), row.cells().size()) {}

@@ -1,10 +1,11 @@
 // Tests for the morsel-driven adaptive GROUP BY engine
 // (query/aggregator.h): reference correctness on mixed-type data, the
 // determinism contract (bit-identical results across all three
-// strategies, thread counts, schedules, and live-vs-snapshot sources),
-// WHERE integration, shared-table overflow fallback, and the adaptive
-// chooser's decisions. The cross-strategy property test also runs under
-// TSan (tools/tier1.sh) to exercise the shared table's atomics.
+// strategies, thread counts, schedules, and snapshot sources, each checked
+// against a brute-force reference), WHERE integration, shared-table
+// overflow fallback, and the adaptive chooser's decisions. The
+// cross-strategy property test also runs under TSan (tools/tier1.sh) to
+// exercise the shared table's atomics.
 
 #include <cstdio>
 #include <map>
@@ -152,7 +153,8 @@ TEST(AggregatorTest, MatchesHandBuiltAggregates) {
   AggregateSpec spec;
   spec.group_by = kGroup;
   spec.value = kValue;
-  Aggregator aggregator(c->catalog());
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view());
   const AggregationResult result = aggregator.Aggregate(spec);
   ASSERT_EQ(result.groups.size(), 3u);
 
@@ -185,7 +187,8 @@ TEST(AggregatorTest, AvgDerivesExactlyFromSumAndCount) {
   AggregateSpec spec;
   spec.group_by = kGroup;
   spec.value = kValue;
-  Aggregator reference(c->catalog());
+  const CatalogCapture capture(c->catalog());
+  Aggregator reference(capture.view());
   const AggregationResult base = reference.Aggregate(spec);
   ASSERT_FALSE(base.groups.empty());
   for (const GroupResult& g : base.groups) {
@@ -204,7 +207,7 @@ TEST(AggregatorTest, AvgDerivesExactlyFromSumAndCount) {
     AggregatorOptions options;
     options.scan_threads = 4;
     options.strategy = strategy;
-    Aggregator aggregator(c->catalog(), options);
+    Aggregator aggregator(capture.view(), options);
     const AggregationResult result = aggregator.Aggregate(spec);
     ASSERT_EQ(result.groups.size(), base.groups.size());
     for (size_t i = 0; i < base.groups.size(); ++i) {
@@ -216,12 +219,15 @@ TEST(AggregatorTest, AvgDerivesExactlyFromSumAndCount) {
 }
 
 // The determinism contract, as a randomized property: every strategy,
-// thread count, schedule, and source yields the byte-for-byte same
-// groups as the serial reference.
+// thread count, schedule, and snapshot source yields the byte-for-byte
+// same groups as the brute-force reference over the inserted rows.
 TEST(AggregatorTest, StrategiesThreadsAndSourcesAreBitIdentical) {
   const std::vector<Row> rows = MakeRows(3000, /*seed=*/17, /*groups=*/37);
+  // Two snapshot sources of the same rows: a capture of a serially
+  // loaded catalog, and a published view of a batch-loaded table.
   auto c = MakePartitioner();
   for (const Row& row : rows) ASSERT_TRUE(c->Insert(row).ok());
+  const CatalogCapture capture(c->catalog());
   VersionedTable table(MakePartitioner());
   {
     std::vector<Row> copy = rows;
@@ -249,9 +255,9 @@ TEST(AggregatorTest, StrategiesThreadsAndSourcesAreBitIdentical) {
             std::string(AggregateStrategyName(strategy)) + "/t" +
             std::to_string(threads) + (fixed ? "/fixed" : "/morsel");
 
-        Aggregator live(c->catalog(), options);
-        const AggregationResult from_live = live.Aggregate(spec);
-        ExpectSameGroups(expected, from_live.groups, label + "/live");
+        Aggregator captured(capture.view(), options);
+        const AggregationResult from_capture = captured.Aggregate(spec);
+        ExpectSameGroups(expected, from_capture.groups, label + "/capture");
 
         Aggregator pinned(snapshot.view(), options);
         const AggregationResult from_view = pinned.Aggregate(spec);
@@ -260,7 +266,7 @@ TEST(AggregatorTest, StrategiesThreadsAndSourcesAreBitIdentical) {
         // Participating-row count is part of the contract too.
         uint64_t participating = 0;
         for (const GroupResult& g : expected) participating += g.count;
-        EXPECT_EQ(from_live.metrics.rows_matched, participating) << label;
+        EXPECT_EQ(from_capture.metrics.rows_matched, participating) << label;
         EXPECT_EQ(from_view.metrics.rows_matched, participating) << label;
       }
     }
@@ -279,10 +285,11 @@ TEST(AggregatorTest, WherePredicateFiltersRows) {
   spec.where = where.get();
   const std::vector<GroupResult> expected = Reference(rows, spec);
 
+  const CatalogCapture capture(c->catalog());
   for (const int threads : {1, 8}) {
     AggregatorOptions options;
     options.scan_threads = threads;
-    Aggregator aggregator(c->catalog(), options);
+    Aggregator aggregator(capture.view(), options);
     const AggregationResult result = aggregator.Aggregate(spec);
     ExpectSameGroups(expected, result.groups,
                      "where/t" + std::to_string(threads));
@@ -297,7 +304,8 @@ TEST(AggregatorTest, CountOnlyNeedsNoValueAttribute) {
   AggregateSpec spec;
   spec.group_by = kGroup;  // value stays kNoValue.
   const std::vector<GroupResult> expected = Reference(rows, spec);
-  Aggregator aggregator(c->catalog());
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view());
   const AggregationResult result = aggregator.Aggregate(spec);
   ExpectSameGroups(expected, result.groups, "count-only");
   for (const GroupResult& g : result.groups) {
@@ -321,7 +329,8 @@ TEST(AggregatorTest, SharedTableOverflowFallsBackToTwoPhase) {
   options.scan_threads = 4;
   options.strategy = AggregateStrategy::kSharedTable;
   options.shared_table_capacity = 128;  // << distinct groups: must spill.
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_TRUE(result.shared_table_overflow);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kTwoPhase);
@@ -338,7 +347,8 @@ TEST(AggregatorTest, ChooserPicksSharedTableForFewGroups) {
   spec.value = kValue;
   AggregatorOptions options;
   options.scan_threads = 4;
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kSharedTable);
   EXPECT_GT(result.estimated_groups, 0u);
@@ -360,7 +370,8 @@ TEST(AggregatorTest, ChooserPicksRadixForHugeCardinality) {
   options.sample_rows = 512;
   options.shared_max_groups = 64;
   options.radix_min_groups = 500;
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kRadix);
   ExpectSameGroups(Reference(rows, spec), result.groups, "chooser-radix");
@@ -386,7 +397,8 @@ TEST(AggregatorTest, ChooserAvoidsSharedTableUnderHeavyHitterSkew) {
   spec.value = kValue;
   AggregatorOptions options;
   options.scan_threads = 4;
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kTwoPhase);
   ExpectSameGroups(Reference(rows, spec), result.groups, "chooser-skew");
@@ -402,7 +414,8 @@ TEST(AggregatorTest, SerialDegreeNeverPicksTheSharedTable) {
   // 5 groups would qualify for the shared table at degree > 1, but the
   // shared table only exists to dodge contention — serially it is pure
   // overhead, so the chooser must fall back to two-phase.
-  Aggregator aggregator(c->catalog());  // scan_threads = 1.
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view());  // scan_threads = 1.
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_EQ(aggregator.scan_degree(), 1);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kTwoPhase);
@@ -421,7 +434,8 @@ TEST(AggregatorTest, SerialDegreeStillPicksRadixAtHugeCardinality) {
   options.scan_threads = 1;
   options.sample_rows = 256;
   options.radix_min_groups = 500;
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_EQ(result.strategy_used, AggregateStrategy::kRadix);
 }
@@ -443,7 +457,8 @@ TEST(AggregatorTest, PrunesPartitionsWithoutTheGroupAttribute) {
   }
   AggregateSpec spec;
   spec.group_by = kGroup;
-  Aggregator aggregator(c->catalog());
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view());
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_GT(result.metrics.partitions_pruned, 0u);
   EXPECT_EQ(result.metrics.rows_matched, 100u);
@@ -456,7 +471,8 @@ TEST(AggregatorTest, EmptyCatalogYieldsNoGroups) {
   spec.group_by = kGroup;
   AggregatorOptions options;
   options.scan_threads = 4;
-  Aggregator aggregator(c->catalog(), options);
+  const CatalogCapture capture(c->catalog());
+  Aggregator aggregator(capture.view(), options);
   const AggregationResult result = aggregator.Aggregate(spec);
   EXPECT_TRUE(result.groups.empty());
   EXPECT_EQ(result.metrics.rows_matched, 0u);

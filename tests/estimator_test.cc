@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/estimator.h"
 #include "query/executor.h"
 #include "workload/dbpedia_generator.h"
@@ -32,9 +33,10 @@ TEST(EstimatorTest, SingleAttributeIsExact) {
             .ok());
   }
   const Query query(Synopsis{0});
+  const CatalogCapture capture(c->catalog());
   const SelectivityEstimate estimate =
-      EstimateSelectivity(c->catalog(), query);
-  QueryExecutor executor(c->catalog());
+      EstimateSelectivity(capture.view(), query);
+  QueryExecutor executor(capture.view());
   const QueryResult actual = executor.Execute(query);
   EXPECT_EQ(estimate.rows_lower_bound, actual.metrics.rows_matched);
   EXPECT_EQ(estimate.rows_upper_bound, actual.metrics.rows_matched);
@@ -53,9 +55,10 @@ TEST(EstimatorTest, PruningCountsMatchExecutor) {
     ASSERT_TRUE(c->Insert(MakeRow(id, {base, base + 1})).ok());
   }
   const Query query(Synopsis{10});
+  const CatalogCapture capture(c->catalog());
   const SelectivityEstimate estimate =
-      EstimateSelectivity(c->catalog(), query);
-  QueryExecutor executor(c->catalog());
+      EstimateSelectivity(capture.view(), query);
+  QueryExecutor executor(capture.view());
   const QueryResult actual = executor.Execute(query);
   EXPECT_EQ(estimate.partitions_scanned, actual.metrics.partitions_scanned);
   EXPECT_EQ(estimate.partitions_pruned, actual.metrics.partitions_pruned);
@@ -63,8 +66,9 @@ TEST(EstimatorTest, PruningCountsMatchExecutor) {
 
 TEST(EstimatorTest, EmptyCatalog) {
   PartitionCatalog catalog;
+  const CatalogCapture capture(catalog);
   const SelectivityEstimate estimate =
-      EstimateSelectivity(catalog, Query(Synopsis{0}));
+      EstimateSelectivity(capture.view(), Query(Synopsis{0}));
   EXPECT_EQ(estimate.table_entities, 0u);
   EXPECT_DOUBLE_EQ(estimate.selectivity_estimate(), 0.0);
 }
@@ -84,13 +88,14 @@ TEST(EstimatorTest, BoundsAlwaysHoldOnGeneratedWorkload) {
   for (const Row& row : rows) {
     ASSERT_TRUE(c->Insert(row).ok());
   }
-  QueryExecutor executor(c->catalog());
+  const CatalogCapture capture(c->catalog());
+  QueryExecutor executor(capture.view());
 
   const auto workload = GenerateQueryWorkload(rows, 100, QueryWorkloadConfig{});
   double total_error = 0.0;
   for (const GeneratedQuery& q : workload) {
     const SelectivityEstimate estimate =
-        EstimateSelectivity(c->catalog(), q.query);
+        EstimateSelectivity(capture.view(), q.query);
     const QueryResult actual = executor.Execute(q.query);
     const uint64_t matched = actual.metrics.rows_matched;
     EXPECT_LE(estimate.rows_lower_bound, matched) << q.query.ToString();
@@ -118,8 +123,9 @@ TEST(GroupCardinalityTest, BoundsHoldAndPruningMatches) {
     const AttributeId base = static_cast<AttributeId>((id % 2) * 10);
     ASSERT_TRUE(c->Insert(MakeRow(id, {base, base + 1})).ok());
   }
+  const CatalogCapture capture(c->catalog());
   const GroupCardinalityEstimate estimate =
-      EstimateGroupCardinality(c->catalog(), /*attribute=*/0);
+      EstimateGroupCardinality(capture.view(), /*attribute=*/0);
   EXPECT_EQ(estimate.table_entities, 40u);
   EXPECT_EQ(estimate.carrier_rows, 20u);  // Exactly the carriers.
   EXPECT_EQ(estimate.groups_upper_bound(), 20u);
@@ -135,8 +141,9 @@ TEST(GroupCardinalityTest, AbsentAttributeHasZeroBound) {
   for (EntityId id = 0; id < 10; ++id) {
     ASSERT_TRUE(c->Insert(MakeRow(id, {1, 2})).ok());
   }
+  const CatalogCapture capture(c->catalog());
   const GroupCardinalityEstimate estimate =
-      EstimateGroupCardinality(c->catalog(), /*attribute=*/99);
+      EstimateGroupCardinality(capture.view(), /*attribute=*/99);
   EXPECT_EQ(estimate.carrier_rows, 0u);
   EXPECT_EQ(estimate.partitions_carrying, 0u);
   EXPECT_EQ(estimate.table_entities, 10u);
@@ -151,7 +158,8 @@ TEST(ExplainTest, RendersPlan) {
     const AttributeId base = static_cast<AttributeId>((id % 2) * 10);
     ASSERT_TRUE(c->Insert(MakeRow(id, {base, base + 1})).ok());
   }
-  const std::string plan = ExplainQuery(c->catalog(), Query(Synopsis{10}));
+  const CatalogCapture capture(c->catalog());
+  const std::string plan = ExplainQuery(capture.view(), Query(Synopsis{10}));
   EXPECT_NE(plan.find("scan 1 partitions, prune 1"), std::string::npos)
       << plan;
   EXPECT_NE(plan.find("scan partition"), std::string::npos);
@@ -168,8 +176,9 @@ TEST(ExplainTest, CapsPartitionListing) {
     ASSERT_TRUE(
         c->Insert(MakeRow(id, {0, static_cast<AttributeId>(1 + id)})).ok());
   }
+  const CatalogCapture capture(c->catalog());
   const std::string plan =
-      ExplainQuery(c->catalog(), Query(Synopsis{0}), /*max_partitions=*/5);
+      ExplainQuery(capture.view(), Query(Synopsis{0}), /*max_partitions=*/5);
   EXPECT_NE(plan.find("... 25 more partitions"), std::string::npos) << plan;
 }
 

@@ -19,6 +19,7 @@
 #include "pagestore/buffer_pool.h"
 #include "pagestore/paged_store.h"
 #include "pagestore/pager.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "workload/dbpedia_generator.h"
 #include "workload/query_workload.h"
@@ -49,7 +50,8 @@ TEST(IntegrationTest, FullPipeline) {
   const auto workload = GenerateQueryWorkload(rows, 100, QueryWorkloadConfig{});
   ASSERT_FALSE(workload.empty());
   const GeneratedQuery& selective = workload.front();
-  QueryExecutor executor(cinderella->catalog());
+  const CatalogCapture capture(cinderella->catalog());
+  QueryExecutor executor(capture.view());
   const QueryResult before = executor.Execute(selective.query);
   EXPECT_GT(before.metrics.partitions_pruned, 0u);
 
@@ -58,7 +60,8 @@ TEST(IntegrationTest, FullPipeline) {
   ASSERT_TRUE(SaveSnapshot(*cinderella, *dictionary, buffer).ok());
   auto restored = LoadSnapshot(buffer);
   ASSERT_TRUE(restored.ok());
-  QueryExecutor restored_executor(restored->partitioner->catalog());
+  const CatalogCapture restored_capture(restored->partitioner->catalog());
+  QueryExecutor restored_executor(restored_capture.view());
   const QueryResult after = restored_executor.Execute(selective.query);
   EXPECT_EQ(after.metrics.rows_matched, before.metrics.rows_matched);
   EXPECT_EQ(after.metrics.partitions_scanned,
@@ -137,7 +140,8 @@ TEST(IntegrationTest, PagedStoreMatchesInMemoryEngine) {
     ASSERT_TRUE(store.AddPartition(partition).ok());
   });
 
-  QueryExecutor executor(partitioner->catalog());
+  const CatalogCapture capture(partitioner->catalog());
+  QueryExecutor executor(capture.view());
   const auto workload = GenerateQueryWorkload(rows, 100, QueryWorkloadConfig{});
   for (const GeneratedQuery& q : workload) {
     const QueryResult memory = executor.Execute(q.query);

@@ -13,6 +13,7 @@
 #include "baseline/single_partitioner.h"
 #include "core/cinderella.h"
 #include "core/partitioning_stats.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "workload/dataset_stats.h"
 #include "workload/dbpedia_generator.h"
@@ -64,7 +65,8 @@ class PaperShapesTest : public testing::Test {
   // Average cells read per query within a selectivity band.
   static double CellsRead(const PartitionCatalog& catalog, double lo,
                           double hi) {
-    QueryExecutor executor(catalog);
+    const CatalogCapture capture(catalog);
+    QueryExecutor executor(capture.view());
     uint64_t cells = 0;
     size_t count = 0;
     for (const GeneratedQuery& q : *workload_) {
@@ -115,7 +117,8 @@ TEST_F(PaperShapesTest, Fig5SmallerLimitCostsUnselectiveQueries) {
   auto b_small = Load(0.5, 500);
   auto b_large = Load(0.5, 5000);
   auto united = [&](const PartitionCatalog& catalog) {
-    QueryExecutor executor(catalog);
+    const CatalogCapture capture(catalog);
+    QueryExecutor executor(capture.view());
     uint64_t scans = 0;
     for (const GeneratedQuery& q : *workload_) {
       if (q.selectivity < 0.5) continue;

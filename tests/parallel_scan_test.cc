@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "query/query.h"
@@ -133,8 +134,9 @@ bool MetricsEqual(const ScanMetrics& a, const ScanMetrics& b) {
 
 TEST(ParallelScanDeterminismTest, QueryExecutionIdenticalToSerial) {
   auto table = BuildWithThreads(1);
-  QueryExecutor serial(table->catalog(), /*scan_threads=*/1);
-  QueryExecutor parallel(table->catalog(), /*scan_threads=*/4);
+  const CatalogCapture capture(table->catalog());
+  QueryExecutor serial(capture.view(), /*scan_threads=*/1);
+  QueryExecutor parallel(capture.view(), /*scan_threads=*/4);
   EXPECT_EQ(serial.scan_degree(), 1);
   EXPECT_EQ(parallel.scan_degree(), 4);
 
@@ -189,8 +191,9 @@ TEST(ParallelScanDeterminismTest, TinyCatalogParallelExecutor) {
     row.Set(static_cast<AttributeId>(id % 2), Value(int64_t{7}));
     ASSERT_TRUE(c->Insert(std::move(row)).ok());
   }
-  QueryExecutor serial(c->catalog(), 1);
-  QueryExecutor parallel(c->catalog(), 8);
+  const CatalogCapture capture(c->catalog());
+  QueryExecutor serial(capture.view(), 1);
+  QueryExecutor parallel(capture.view(), 8);
   const Query query(Synopsis{0});
   const QueryResult s = serial.Execute(query);
   const QueryResult p = parallel.Execute(query);

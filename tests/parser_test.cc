@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "query/parser.h"
 
@@ -164,7 +165,8 @@ TEST_F(ParserTest, ExecuteSelectEndToEnd) {
                                      /*with_screen=*/id % 3 == 0))
                     .ok());
   }
-  QueryExecutor executor(partitioner->catalog());
+  const CatalogCapture capture(partitioner->catalog());
+  QueryExecutor executor(capture.view());
 
   auto filtered = ParseSelect("SELECT name WHERE weight >= 200 AND screen "
                               "IS NOT NULL",

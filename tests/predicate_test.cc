@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 
@@ -144,6 +145,7 @@ class PredicateExecutorTest : public testing::Test {
       rows_.push_back(row);
       ASSERT_TRUE(partitioner_->Insert(std::move(row)).ok());
     }
+    capture_ = std::make_unique<CatalogCapture>(partitioner_->catalog());
   }
 
   size_t BruteForceCount(const Predicate& predicate) const {
@@ -153,11 +155,12 @@ class PredicateExecutorTest : public testing::Test {
   }
 
   std::unique_ptr<Cinderella> partitioner_;
+  std::unique_ptr<CatalogCapture> capture_;
   std::vector<Row> rows_;
 };
 
 TEST_F(PredicateExecutorTest, PrunedScanMatchesBruteForce) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   auto predicate = Compare(10, CompareOp::kLt, Value(int64_t{50}));
   const QueryResult result = executor.ExecutePredicate(*predicate);
   EXPECT_EQ(result.metrics.rows_matched, BruteForceCount(*predicate));
@@ -166,7 +169,7 @@ TEST_F(PredicateExecutorTest, PrunedScanMatchesBruteForce) {
 }
 
 TEST_F(PredicateExecutorTest, NonPrunablePredicateScansEverything) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   auto predicate = Not(IsNotNull(10));
   const QueryResult result = executor.ExecutePredicate(*predicate);
   EXPECT_EQ(result.metrics.partitions_pruned, 0u);
@@ -175,7 +178,7 @@ TEST_F(PredicateExecutorTest, NonPrunablePredicateScansEverything) {
 }
 
 TEST_F(PredicateExecutorTest, ScanMatchesDeliversRows) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   auto predicate = IsNotNull(20);
   std::vector<EntityId> seen;
   executor.ScanMatches(*predicate,
@@ -187,7 +190,7 @@ TEST_F(PredicateExecutorTest, ScanMatchesDeliversRows) {
 }
 
 TEST_F(PredicateExecutorTest, RandomDifferentialSweep) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   Rng rng(99);
   for (int trial = 0; trial < 60; ++trial) {
     // Random two-clause predicate over random attributes.

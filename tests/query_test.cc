@@ -7,6 +7,7 @@
 
 #include "baseline/single_partitioner.h"
 #include "core/cinderella.h"
+#include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "query/query.h"
 
@@ -51,13 +52,15 @@ class ExecutorTest : public testing::Test {
       ASSERT_TRUE(partitioner_->Insert(MakeRow(id, {10, 11})).ok());
     }
     ASSERT_EQ(partitioner_->catalog().partition_count(), 2u);
+    capture_ = std::make_unique<CatalogCapture>(partitioner_->catalog());
   }
 
   std::unique_ptr<Cinderella> partitioner_;
+  std::unique_ptr<CatalogCapture> capture_;
 };
 
 TEST_F(ExecutorTest, PrunesIrrelevantPartitions) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   const QueryResult result = executor.Execute(Query(Synopsis{0}));
   EXPECT_EQ(result.metrics.partitions_total, 2u);
   EXPECT_EQ(result.metrics.partitions_scanned, 1u);
@@ -68,7 +71,7 @@ TEST_F(ExecutorTest, PrunesIrrelevantPartitions) {
 }
 
 TEST_F(ExecutorTest, NoMatchScansNothing) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   const QueryResult result = executor.Execute(Query(Synopsis{99}));
   EXPECT_EQ(result.metrics.partitions_scanned, 0u);
   EXPECT_EQ(result.metrics.rows_matched, 0u);
@@ -77,7 +80,7 @@ TEST_F(ExecutorTest, NoMatchScansNothing) {
 }
 
 TEST_F(ExecutorTest, CrossFamilyQueryScansBoth) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   const QueryResult result = executor.Execute(Query(Synopsis{0, 10}));
   EXPECT_EQ(result.metrics.partitions_scanned, 2u);
   EXPECT_EQ(result.metrics.rows_matched, 30u);
@@ -85,14 +88,14 @@ TEST_F(ExecutorTest, CrossFamilyQueryScansBoth) {
 }
 
 TEST_F(ExecutorTest, MaterializesProjectedCells) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   // Attr 0 and 1 both live on the 20 family-A rows.
   const QueryResult result = executor.Execute(Query(Synopsis{0, 1}));
   EXPECT_EQ(result.cells_materialized, 40u);
 }
 
 TEST_F(ExecutorTest, CountsCellsAndBytesOfScannedPartitions) {
-  QueryExecutor executor(partitioner_->catalog());
+  QueryExecutor executor(capture_->view());
   const QueryResult result = executor.Execute(Query(Synopsis{10}));
   // Family B: 10 rows x 2 attrs.
   EXPECT_EQ(result.metrics.cells_read, 20u);
@@ -107,7 +110,8 @@ TEST(ExecutorUniversalTest, UniversalTableScansEverything) {
         single->Insert(MakeRow(id, {id < 20 ? AttributeId{0} : AttributeId{10}}))
             .ok());
   }
-  QueryExecutor executor(single->catalog());
+  const CatalogCapture capture(single->catalog());
+  QueryExecutor executor(capture.view());
   const QueryResult result = executor.Execute(Query(Synopsis{0}));
   EXPECT_EQ(result.metrics.partitions_scanned, 1u);
   EXPECT_EQ(result.metrics.rows_scanned, 30u);  // No pruning possible.
@@ -129,7 +133,8 @@ TEST(CostModelTest, ChargesOverheadPerScannedPartition) {
 
 TEST(ExecutorEmptyTest, EmptyCatalog) {
   PartitionCatalog catalog;
-  QueryExecutor executor(catalog);
+  const CatalogCapture capture(catalog);
+  QueryExecutor executor(capture.view());
   const QueryResult result = executor.Execute(Query(Synopsis{0}));
   EXPECT_EQ(result.metrics.partitions_total, 0u);
   EXPECT_DOUBLE_EQ(result.selectivity, 0.0);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -280,6 +281,13 @@ struct TreeParam {
   int shards;
   size_t window;
 };
+
+// Without this, gtest prints the parameter as raw bytes, including the
+// uninitialized padding after `shards`, so the listed test names change
+// from run to run.
+void PrintTo(const TreeParam& param, std::ostream* os) {
+  *os << "shards" << param.shards << "_window" << param.window;
+}
 
 class TreeEquivalenceTest : public testing::TestWithParam<TreeParam> {};
 

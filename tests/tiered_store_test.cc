@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +18,11 @@
 
 #include "common/random.h"
 #include "core/cinderella.h"
+#include "core/efficiency.h"
+#include "core/universal_table.h"
+#include "io/csv.h"
 #include "io/durable_table.h"
+#include "mvcc/partition_version.h"
 #include "mvcc/versioned_table.h"
 #include "query/executor.h"
 #include "query/predicate.h"
@@ -194,16 +199,22 @@ TEST_F(ColdEngineTest, HybridScanMatchesAllHotAndPrunesWithoutIo) {
   for (EntityId id = 0; id < 240; ++id) {
     ASSERT_TRUE(engine->Insert(FamilyRow(id)).ok());
   }
-  QueryExecutor executor(engine->catalog(), 1);
   const PredicatePtr family0 = IsNotNull(0);
   const PredicatePtr match_all = And(std::vector<PredicatePtr>{});
-
-  const QueryResult hot_family = executor.ExecutePredicate(*family0);
-  const QueryResult hot_all = executor.ExecutePredicate(*match_all);
-  const QueryResult hot_query = executor.Execute(Query(Synopsis{20}));
-  std::set<EntityId> hot_ids;
-  executor.ScanMatches(*family0,
-                       [&](const RowView& row) { hot_ids.insert(row.id()); });
+  QueryResult hot_family;
+  QueryResult hot_all;
+  QueryResult hot_query;
+  std::vector<EntityId> hot_ids;
+  {
+    const CatalogCapture hot(engine->catalog());
+    QueryExecutor executor(hot.view(), 1);
+    hot_family = executor.ExecutePredicate(*family0);
+    hot_all = executor.ExecutePredicate(*match_all);
+    hot_query = executor.Execute(Query(Synopsis{20}));
+    executor.ScanMatches(*family0, [&](const RowView& row) {
+      hot_ids.push_back(row.id());
+    });
+  }
 
   auto tier = std::move(TieredStore::Open(SmallTier("cold_scan.pages"))).value();
   engine->set_cold_tier(tier.get());
@@ -211,8 +222,10 @@ TEST_F(ColdEngineTest, HybridScanMatchesAllHotAndPrunesWithoutIo) {
     ASSERT_TRUE(engine->SpillPartition(id).ok());
   }
 
-  // Identical results through the hybrid scan, rows now fetched from
-  // page chains.
+  // Identical results through the hybrid scan of a capture that carries
+  // the chains, rows now fetched from the pages.
+  const CatalogCapture cold(engine->catalog());
+  QueryExecutor executor(cold.view(), 1);
   const QueryResult cold_family = executor.ExecutePredicate(*family0);
   EXPECT_EQ(cold_family.metrics.partitions_scanned,
             hot_family.metrics.partitions_scanned);
@@ -228,9 +241,10 @@ TEST_F(ColdEngineTest, HybridScanMatchesAllHotAndPrunesWithoutIo) {
   EXPECT_EQ(cold_query.metrics.rows_matched, hot_query.metrics.rows_matched);
   EXPECT_EQ(cold_query.cells_materialized, hot_query.cells_materialized);
 
-  std::set<EntityId> cold_ids;
-  executor.ScanMatches(*family0,
-                       [&](const RowView& row) { cold_ids.insert(row.id()); });
+  std::vector<EntityId> cold_ids;
+  executor.ScanMatches(*family0, [&](const RowView& row) {
+    cold_ids.push_back(row.id());
+  });
   EXPECT_EQ(cold_ids, hot_ids);
 
   // A query whose synopsis prunes every cold partition must not touch
@@ -243,6 +257,170 @@ TEST_F(ColdEngineTest, HybridScanMatchesAllHotAndPrunesWithoutIo) {
   EXPECT_EQ(after.pool.hits + after.pool.misses,
             before.pool.hits + before.pool.misses);
   EXPECT_EQ(after.pager_pages_read, before.pager_pages_read);
+}
+
+/// The row's cells as text ("attr=value;..."), for exact comparison.
+std::string CellsOf(const RowView& row) {
+  std::string out;
+  for (const Row::Cell& cell : row) {
+    out += std::to_string(cell.attribute);
+    out += '=';
+    out += cell.value.ToString();
+    out += ';';
+  }
+  return out;
+}
+
+/// Spills every other partition of `engine` (ascending id order), so the
+/// catalog mixes residencies.
+void SpillEveryOtherPartition(Cinderella* engine) {
+  const std::vector<PartitionId> ids = AllPartitionIds(*engine);
+  for (size_t i = 0; i < ids.size(); i += 2) {
+    ASSERT_TRUE(engine->SpillPartition(ids[i]).ok());
+  }
+}
+
+TEST_F(ColdEngineTest, GetAndExportCsvReadSpilledPartitions) {
+  auto owned = NewEngine();
+  Cinderella* engine = owned.get();
+  UniversalTable table(std::move(owned));
+  UniversalTable reference(NewEngine());
+  for (AttributeId a = 0; a < 64; ++a) {
+    const std::string name = "attr" + std::to_string(a);
+    table.dictionary().GetOrCreate(name);
+    reference.dictionary().GetOrCreate(name);
+  }
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 120; ++id) {
+    rows.push_back(FamilyRow(id));
+    ASSERT_TRUE(table.InsertRow(rows.back()).ok());
+    ASSERT_TRUE(reference.InsertRow(rows.back()).ok());
+  }
+  auto tier = std::move(TieredStore::Open(SmallTier("cold_get.pages"))).value();
+  engine->set_cold_tier(tier.get());
+  SpillEveryOtherPartition(engine);
+
+  size_t cold_rows = 0;
+  for (const Row& row : rows) {
+    const auto home = table.catalog().FindEntity(row.id());
+    ASSERT_TRUE(home.has_value());
+    cold_rows += table.catalog().GetPartition(*home)->cold() ? 1 : 0;
+    const StatusOr<Row> got = table.Get(row.id());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(CellsOf(*got), CellsOf(row)) << "entity " << row.id();
+  }
+  EXPECT_GT(cold_rows, 0u);
+  EXPECT_LT(cold_rows, rows.size());
+  EXPECT_EQ(table.Get(999).status().code(), StatusCode::kNotFound);
+
+  std::stringstream exported;
+  std::stringstream expected;
+  ASSERT_TRUE(ExportCsv(table, exported).ok());
+  ASSERT_TRUE(ExportCsv(reference, expected).ok());
+  const std::string csv = exported.str();
+  EXPECT_EQ(csv, expected.str());
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
+            static_cast<std::ptrdiff_t>(rows.size() + 1));
+}
+
+TEST_F(ColdEngineTest, EfficiencyCountsSpilledPartitionsLikeHotOnes) {
+  auto engine = NewEngine();
+  for (EntityId id = 0; id < 120; ++id) {
+    ASSERT_TRUE(engine->Insert(FamilyRow(id)).ok());
+  }
+  const std::vector<Synopsis> workload{Synopsis{0}, Synopsis{21},
+                                       Synopsis{1, 41}, Synopsis{60}};
+  const EfficiencyBreakdown hot =
+      ComputeEfficiency(engine->catalog(), workload, SizeMeasure::kByteSize);
+
+  auto tier = std::move(TieredStore::Open(SmallTier("cold_eff.pages"))).value();
+  engine->set_cold_tier(tier.get());
+  SpillEveryOtherPartition(engine.get());
+  const EfficiencyBreakdown mixed =
+      ComputeEfficiency(engine->catalog(), workload, SizeMeasure::kByteSize);
+  EXPECT_GT(hot.relevant, 0.0);
+  EXPECT_EQ(mixed.relevant, hot.relevant);
+  EXPECT_EQ(mixed.read, hot.read);
+  EXPECT_EQ(mixed.efficiency, hot.efficiency);
+}
+
+// -- CatalogCapture: an owned snapshot of a catalog no VersionedTable
+// publishes. The ASan+leak pass of tools/tier1.sh checks that each
+// capture's self-freeing arena is released exactly once.
+
+TEST(CatalogCaptureTest, KeepsEmptyPartitionsInTheScanCounters) {
+  PartitionCatalog catalog;
+  for (int p = 0; p < 3; ++p) {
+    Partition& partition = catalog.CreatePartition();
+    if (p == 1) continue;  // Left empty.
+    for (EntityId i = 0; i < 4; ++i) {
+      Row row = MakeRow(static_cast<EntityId>(p * 10) + i, {0, 1});
+      const Synopsis synopsis = row.AttributeSynopsis();
+      ASSERT_TRUE(partition.AddRow(std::move(row), synopsis).ok());
+    }
+  }
+  const CatalogCapture capture(catalog);
+  EXPECT_EQ(capture.view().partition_count(), 3u);
+  EXPECT_EQ(capture.view().entity_count(), 8u);
+
+  QueryExecutor executor(capture.view());
+  const QueryResult pruned = executor.Execute(Query(Synopsis{0}));
+  EXPECT_EQ(pruned.metrics.partitions_total, 3u);
+  EXPECT_EQ(pruned.metrics.partitions_scanned, 2u);
+  EXPECT_EQ(pruned.metrics.partitions_pruned, 1u);
+  EXPECT_EQ(pruned.metrics.rows_matched, 8u);
+  const QueryResult all =
+      executor.ExecutePredicate(*And(std::vector<PredicatePtr>{}));
+  EXPECT_EQ(all.metrics.partitions_total, 3u);
+  EXPECT_EQ(all.metrics.partitions_scanned, 3u);
+  EXPECT_EQ(all.metrics.rows_matched, 8u);
+
+  const PartitionCatalog empty;
+  const CatalogCapture nothing(empty);
+  EXPECT_EQ(nothing.view().partition_count(), 0u);
+}
+
+TEST(CatalogCaptureTest, ColdPartitionsScanToTheAllHotRowsAfterTheCatalogDies) {
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 150; ++id) {
+    rows.push_back(MakeRow(id, {static_cast<AttributeId>(id % 3 * 10),
+                                static_cast<AttributeId>(id % 3 * 10 + 1)}));
+  }
+  CinderellaConfig config;
+  config.weight = 0.4;
+  config.max_size = 16;
+  auto tier = std::move(TieredStore::Open(SmallTier("capture.pages"))).value();
+  std::unique_ptr<CatalogCapture> capture;
+  size_t partitions = 0;
+  {
+    auto engine = std::move(Cinderella::Create(config)).value();
+    for (const Row& row : rows) ASSERT_TRUE(engine->Insert(row).ok());
+    engine->set_cold_tier(tier.get());
+    SpillEveryOtherPartition(engine.get());
+    partitions = engine->catalog().partition_count();
+    capture = std::make_unique<CatalogCapture>(engine->catalog());
+  }  // The engine and its catalog die; the capture holds the chains.
+
+  // Brute force over the inserted rows: every row, in entity order, with
+  // its cells.
+  std::map<EntityId, std::string> scanned;
+  QueryExecutor executor(capture->view(), 2);
+  const QueryResult all = executor.ScanMatches(
+      *And(std::vector<PredicatePtr>{}), [&](const RowView& row) {
+        scanned[row.id()] = CellsOf(row);
+      });
+  EXPECT_EQ(all.metrics.partitions_total, partitions);
+  EXPECT_EQ(all.metrics.rows_matched, rows.size());
+  ASSERT_EQ(scanned.size(), rows.size());
+  for (const Row& row : rows) EXPECT_EQ(scanned[row.id()], CellsOf(row));
+
+  size_t cold = 0;
+  capture->view().ForEachPartition(
+      [&](const PartitionVersion& version) { cold += version.cold() ? 1 : 0; });
+  EXPECT_GT(cold, 0u);
+  EXPECT_LT(cold, partitions);
+  capture.reset();  // Last reference: versions, arena and chains go.
+  EXPECT_EQ(tier->stats().chains, 0u);
 }
 
 // -- TierController policy ---------------------------------------------------
@@ -467,7 +645,8 @@ TEST(DurableTieredTest, OutOfCoreDatasetSurvivesCrashBitIdenticalToAllHot) {
   (*recovered)->cinderella().catalog().ForEachPartition(
       [&](const Partition& partition) { cold += partition.cold() ? 1 : 0; });
   EXPECT_GT(cold, 0u);
-  QueryExecutor executor((*recovered)->cinderella().catalog(), 1);
+  const CatalogCapture capture((*recovered)->cinderella().catalog());
+  QueryExecutor executor(capture.view(), 1);
   const QueryResult result =
       executor.ExecutePredicate(*And(std::vector<PredicatePtr>{}));
   EXPECT_EQ(result.metrics.rows_matched,

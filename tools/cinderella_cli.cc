@@ -480,11 +480,16 @@ int Stats(const Args& args) {
           &c, TierControllerOptions{tier_options.budget_bytes, 0});
       const StatusOr<size_t> spilled = controller.EvaluateAndSpill();
       if (!spilled.ok()) return Fail(spilled.status());
-      // One match-all predicate scan: hot partitions read from their
-      // segments, cold ones fetch their chains through the buffer pool.
-      QueryExecutor executor(c.catalog(), 0);
-      const PredicatePtr match_all = And(std::vector<PredicatePtr>{});
-      const QueryResult scanned = executor.ExecutePredicate(*match_all);
+      // One match-all predicate scan over a published snapshot: hot
+      // versions read their packed rows, cold ones fetch their chains
+      // through the buffer pool.
+      QueryResult scanned;
+      {
+        VersionedTable versioned(&c, nullptr);
+        const VersionedTable::Snapshot snapshot = versioned.snapshot();
+        QueryExecutor executor(snapshot.view(), 0);
+        scanned = executor.ExecutePredicate(*And(std::vector<PredicatePtr>{}));
+      }
       const TieredStoreStats ts = tier->stats();
       const uint64_t probes = ts.pool.hits + ts.pool.misses;
       std::printf("cold tier (budget %.2f MiB):\n",
@@ -720,8 +725,10 @@ int QueryCommand(const Args& args) {
     if (!name.empty()) names.push_back(name);
   }
   const Query query = Query::FromNames(*restored->dictionary, names);
+  VersionedTable versioned(restored->partitioner.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
   // Degree 0: honor CINDERELLA_SCAN_THREADS / the hardware, like inserts.
-  QueryExecutor executor(restored->partitioner->catalog(), 0);
+  QueryExecutor executor(snapshot.view(), 0);
   WallTimer timer;
   const QueryResult result = executor.Execute(query);
   std::printf(
@@ -748,9 +755,9 @@ int Explain(const Args& args) {
     if (!name.empty()) names.push_back(name);
   }
   const Query query = Query::FromNames(*restored->dictionary, names);
-  std::fputs(
-      ExplainQuery(restored->partitioner->catalog(), query).c_str(),
-      stdout);
+  VersionedTable versioned(restored->partitioner.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
+  std::fputs(ExplainQuery(snapshot.view(), query).c_str(), stdout);
   return 0;
 }
 
@@ -777,7 +784,7 @@ std::string AggregateColumn(const AggregateItem& item,
   return "";
 }
 
-int SqlGroupBy(const Args& args, const RestoredSnapshot& restored,
+int SqlGroupBy(const Args& args, const CatalogView& view,
                const SelectStatement& statement) {
   AggregatorOptions options;
   options.scan_threads = 0;  // CINDERELLA_SCAN_THREADS / hardware.
@@ -799,7 +806,7 @@ int SqlGroupBy(const Args& args, const RestoredSnapshot& restored,
   for (const AggregateItem& item : statement.aggregates) {
     if (!item.count_all) spec.value = item.attribute;
   }
-  Aggregator aggregator(restored.partitioner->catalog(), options);
+  Aggregator aggregator(view, options);
   WallTimer timer;
   const AggregationResult result = aggregator.Aggregate(spec);
   const double elapsed_ms = timer.ElapsedMillis();
@@ -840,10 +847,12 @@ int Sql(const Args& args) {
   if (text.empty()) return Usage();
   auto statement = ParseSelect(text, *restored->dictionary);
   if (!statement.ok()) return Fail(statement.status());
+  VersionedTable versioned(restored->partitioner.get(), nullptr);
+  const VersionedTable::Snapshot snapshot = versioned.snapshot();
   if (statement->has_group_by) {
-    return SqlGroupBy(args, *restored, *statement);
+    return SqlGroupBy(args, snapshot.view(), *statement);
   }
-  QueryExecutor executor(restored->partitioner->catalog(), 0);
+  QueryExecutor executor(snapshot.view(), 0);
   WallTimer timer;
   const QueryResult result = executor.ExecuteSelect(*statement);
   std::printf(

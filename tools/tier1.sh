@@ -96,7 +96,9 @@ ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/mvcc_tes
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tuner_test
 # Spill/fault cycles move rows between arenas and page chains; leak
 # detection proves chains release their pages on last reference and the
-# out-of-core crash-recovery path frees every recovered version.
+# out-of-core crash-recovery path frees every recovered version. The
+# CatalogCapture tests live here too: a capture's unpooled arena must
+# free itself on its last version's Unref.
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_store_test
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_OPTIONS=detect_leaks=1 CINDERELLA_STRESS_READERS=4 \
