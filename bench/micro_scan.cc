@@ -1,25 +1,29 @@
-// Microbench for the arena-pooled snapshot storage (src/mvcc +
-// common/arena.h): snapshot scan throughput, and publication latency cold
-// (empty pools, every block malloc'ed) versus pooled (steady state, zero
-// allocator calls).
+// Microbench for the MVCC snapshot storage (src/mvcc, one exact-size
+// buffer per partition version): snapshot scan throughput, publication
+// latency of full republications, and the memory bound under partial
+// churn.
 //
 // Method:
 //  1. Load a DBpedia-shaped table through the batched engine, then churn
 //     it with delete/reinsert rounds. Churn scatters the live rows' cell
 //     vectors across the heap — the fragmented layout a long-lived table
-//     converges to — while a freshly published snapshot stays packed in
-//     its arena regardless.
-//  2. Publication: one cold full publication (fresh facade, empty pools)
-//     timed against steady-state full republications; the steady window
-//     asserts the zero-malloc claim by watching the pool's lifetime block
-//     counter stay flat.
+//     converges to — while a freshly published version stays packed in
+//     its own buffer regardless.
+//  2. Publication: the first full publication (facade construction)
+//     and steady full republications (RefreshView), timed; then partial
+//     churn — small delete+reinsert batches on random entities through
+//     the facade, so the versions of one publication retire at different
+//     times. With no reader pinned, every batch must leave the held bytes
+//     (all unreclaimed versions) equal to the current view's bytes.
 //  3. Scan: full-table and pruned queries against a pinned snapshot,
 //     serial executor, GB/s from the deterministic bytes_read counter.
 //     Match counts, materialized cells and the matched-row order must
 //     equal a brute-force walk over the catalog's rows.
 //  4. Placement identity: facade-loaded vs bare serial inserts.
 //
-// Emits BENCH_scan.json in the working directory plus tables on stdout.
+// Emits BENCH_scan.json in the working directory plus tables on stdout;
+// exits nonzero when a result, a placement or the held-bytes bound is
+// off.
 //
 // Knobs: CINDERELLA_BENCH_ENTITIES (default 60000; push past your LLC to
 //          see the locality gap, e.g. 200000),
@@ -28,6 +32,7 @@
 //        CINDERELLA_BENCH_MAX_SIZE (default 50),
 //        CINDERELLA_BENCH_IDENTITY_ENTITIES (default 6000).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -151,45 +156,68 @@ int main() {
                 partitioner->catalog().partition_count());
   }
 
-  // ---- Publication latency: cold vs pooled. ----
-  PrintHeader("publication: cold vs pooled (full view rebuilds)");
-  // The owning constructor publishes the initial full view against empty
-  // pools: every arena block, version shell and view object is a fresh
-  // allocation. This is the cold number.
-  WallTimer cold_timer;
+  // ---- Publication: full republications, then partial churn. ----
+  PrintHeader("publication: full republications and partial churn");
+  // The owning constructor publishes the initial full view: one fresh
+  // buffer per version.
+  WallTimer first_timer;
   VersionedTable table(std::move(partitioner));
-  const double cold_ms = cold_timer.ElapsedSeconds() * 1e3;
-  const uint64_t cold_blocks = table.memory_stats().arenas.blocks_allocated;
+  const double first_ms = first_timer.ElapsedSeconds() * 1e3;
+  const VersionedTable::MemoryStats first = table.memory_stats();
 
-  // Warm the pools, then measure the steady state: every republication
-  // reuses a pooled arena (blocks retained across Reset), pooled shells
-  // and a pooled view — the lifetime block counter must not move.
-  constexpr int kWarmups = 4;
-  constexpr int kSteady = 16;
-  for (int i = 0; i < kWarmups; ++i) table.RefreshView();
-  const VersionedTable::MemoryStats warm = table.memory_stats();
-  WallTimer steady_timer;
-  for (int i = 0; i < kSteady; ++i) table.RefreshView();
-  const double pooled_ms = steady_timer.ElapsedSeconds() * 1e3 / kSteady;
-  const VersionedTable::MemoryStats steady = table.memory_stats();
-  const uint64_t steady_block_mallocs =
-      steady.arenas.blocks_allocated - warm.arenas.blocks_allocated;
-  const uint64_t steady_arena_creations =
-      steady.arenas.arenas_created - warm.arenas.arenas_created;
-  const uint64_t steady_shell_creations =
-      steady.version_shells.created - warm.version_shells.created;
+  // Each full republication builds every version anew and frees the
+  // superseded ones (no reader is pinned), so the allocator hands the
+  // freed buffers back to the next one.
+  constexpr int kRepublications = 16;
+  WallTimer full_timer;
+  for (int i = 0; i < kRepublications; ++i) table.RefreshView();
+  const double full_ms = full_timer.ElapsedSeconds() * 1e3 / kRepublications;
 
-  std::printf("  cold  %8.2f ms  (%llu blocks malloc'ed)\n", cold_ms,
-              static_cast<unsigned long long>(cold_blocks));
-  std::printf("  pooled%8.2f ms  (%llu blocks, %llu arenas, %llu shells "
-              "malloc'ed across %d republications)\n",
-              pooled_ms,
-              static_cast<unsigned long long>(steady_block_mallocs),
-              static_cast<unsigned long long>(steady_arena_creations),
-              static_cast<unsigned long long>(steady_shell_creations),
-              kSteady);
+  // Partial churn: each batch deletes and reinserts 8 random entities,
+  // republishing the few partitions they leave and join.
+  constexpr int kChurnBatches = 64;
+  const uint64_t buffers_before =
+      table.memory_stats().arenas.blocks_allocated;
+  Rng churn_rng(4244);
+  bool held_equals_view = true;
+  WallTimer churn_timer;
+  for (int batch = 0; batch < kChurnBatches; ++batch) {
+    std::vector<Mutation> ops;
+    std::vector<size_t> picks;
+    while (picks.size() < 8) {
+      const size_t pick = churn_rng.Uniform(base_rows.size());
+      if (std::find(picks.begin(), picks.end(), pick) == picks.end()) {
+        picks.push_back(pick);
+      }
+    }
+    for (size_t pick : picks) {
+      ops.push_back(Mutation::Delete(base_rows[pick].id()));
+      ops.push_back(Mutation::Insert(base_rows[pick]));
+    }
+    if (!table.ApplyMutations(std::move(ops)).ok()) return 1;
+    const VersionedTable::MemoryStats m = table.memory_stats();
+    held_equals_view =
+        held_equals_view && m.held_bytes == m.view_bytes &&
+        m.retired_objects == 0;
+  }
+  const double churn_ms =
+      churn_timer.ElapsedSeconds() * 1e3 / kChurnBatches;
+  const VersionedTable::MemoryStats churned = table.memory_stats();
+  const uint64_t churn_buffers =
+      churned.arenas.blocks_allocated - buffers_before;
 
-  // ---- Scan throughput over a pinned (arena-packed) snapshot. ----
+  std::printf("  first publication  %8.2f ms  (%zu versions, %.2f MiB)\n",
+              first_ms, first.live_versions,
+              static_cast<double>(first.view_bytes) / (1024.0 * 1024.0));
+  std::printf("  full republication %8.2f ms  (mean of %d)\n", full_ms,
+              kRepublications);
+  std::printf("  partial churn      %8.2f ms/batch  (%d batches, %.1f "
+              "buffers/batch), held bytes %s view bytes\n",
+              churn_ms, kChurnBatches,
+              static_cast<double>(churn_buffers) / kChurnBatches,
+              held_equals_view ? "==" : "!=");
+
+  // ---- Scan throughput over a pinned snapshot. ----
   PrintHeader("scan: pinned snapshot");
   // The full scan must actually read cell data on every row (a match-all
   // predicate would only walk row headers and measure nothing but loop
@@ -289,17 +317,15 @@ int main() {
                static_cast<unsigned long long>(max_size));
   bench::WriteHostMetadata(json);
   std::fprintf(json,
-               "  \"publication\": {\"cold_ms\": %.3f, \"pooled_ms\": %.3f, "
-               "\"republications\": %d, \"steady_state_block_mallocs\": %llu, "
-               "\"steady_state_arena_creations\": %llu, "
-               "\"steady_state_shell_creations\": %llu, "
-               "\"arenas_reused\": %llu, \"bytes_retained\": %zu},\n",
-               cold_ms, pooled_ms, kSteady,
-               static_cast<unsigned long long>(steady_block_mallocs),
-               static_cast<unsigned long long>(steady_arena_creations),
-               static_cast<unsigned long long>(steady_shell_creations),
-               static_cast<unsigned long long>(steady.arenas.arenas_reused),
-               steady.arenas.bytes_retained);
+               "  \"publication\": {\"first_ms\": %.3f, \"full_ms\": %.3f, "
+               "\"republications\": %d, \"churn_batches\": %d, "
+               "\"churn_ms_per_batch\": %.3f, "
+               "\"churn_buffers_per_batch\": %.2f, \"view_bytes\": %zu, "
+               "\"held_bytes\": %zu, \"held_equals_view\": %s},\n",
+               first_ms, full_ms, kRepublications, kChurnBatches, churn_ms,
+               static_cast<double>(churn_buffers) / kChurnBatches,
+               churned.view_bytes, churned.held_bytes,
+               held_equals_view ? "true" : "false");
   std::fprintf(json, "  \"scans\": [");
   for (size_t i = 0; i < scans.size(); ++i) {
     const ScanPoint& p = scans[i];
@@ -319,8 +345,7 @@ int main() {
                placements_identical ? "true" : "false");
   std::fclose(json);
   std::printf("\nwrote BENCH_scan.json\n");
-  return (results_identical && placements_identical &&
-          steady_block_mallocs == 0)
+  return (results_identical && placements_identical && held_equals_view)
              ? 0
              : 1;
 }

@@ -43,7 +43,7 @@ EfficiencyBreakdown ComputeEfficiency(const PartitionCatalog& catalog,
                                       SizeMeasure measure);
 
 /// EFFICIENCY of a pinned MVCC snapshot (mvcc/partition_version.h): same
-/// Definition 1 arithmetic over arena-packed partition versions. This is
+/// Definition 1 arithmetic over packed partition versions. This is
 /// the accessor the background reorganizer plans with — it never touches
 /// the live catalog, so scoring holds no catalog locks. The view must
 /// stay pinned for the call's duration. Unlike the catalog overload it

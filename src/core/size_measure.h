@@ -37,7 +37,7 @@ inline uint64_t RowSize(const Row& row, SizeMeasure measure) {
   return 1;
 }
 
-/// SIZE(e) for a borrowed row view (arena-packed snapshot rows take this
+/// SIZE(e) for a borrowed row view (packed snapshot rows take this
 /// path — same definition as RowSize).
 inline uint64_t RowViewSize(const RowView& row, SizeMeasure measure) {
   switch (measure) {

@@ -265,7 +265,12 @@ Status SaveSnapshotToFile(const Cinderella& partitioner,
   if (!out.is_open()) {
     return Status::InvalidArgument("cannot open " + path + " for writing");
   }
-  return SaveSnapshot(partitioner, dictionary, out);
+  CINDERELLA_RETURN_IF_ERROR(SaveSnapshot(partitioner, dictionary, out));
+  // The stream still buffers the tail: close() writes it, and only the
+  // stream state after close() says whether every byte reached the file.
+  out.close();
+  if (out.fail()) return Status::Internal("cannot write " + path);
+  return Status::OK();
 }
 
 StatusOr<RestoredSnapshot> LoadSnapshotFromFile(const std::string& path) {

@@ -146,8 +146,8 @@ class MutationPipeline : public BatchMutationEngine {
   Stats stats() const;
 
   /// What one committed window changed — passed to the commit hook so the
-  /// MVCC publisher can size its publication (the arena-pooled snapshot
-  /// layer pre-sizes its fresh-version scratch from dirty_partitions).
+  /// MVCC publisher can size its publication (VersionedTable pre-sizes
+  /// its fresh-version scratch from dirty_partitions).
   struct WindowCommit {
     size_t rows = 0;              // Ops this window applied.
     size_t dirty_partitions = 0;  // Distinct partitions it touched.

@@ -1,6 +1,11 @@
 #include "io/durable_table.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "core/snapshot.h"
@@ -11,6 +16,23 @@ namespace {
 bool FileExists(const std::string& path) {
   std::ifstream file(path);
   return file.is_open();
+}
+
+/// fsyncs the file or directory at `path`.
+Status SyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::Internal("cannot open " + path + " to sync: " +
+                            std::strerror(errno));
+  }
+  const int synced = ::fsync(fd);
+  const int sync_errno = errno;
+  ::close(fd);
+  if (synced != 0) {
+    return Status::Internal("cannot sync " + path + ": " +
+                            std::strerror(sync_errno));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -307,19 +329,23 @@ Status DurableTable::DeleteBatch(const std::vector<EntityId>& entities) {
 }
 
 Status DurableTable::Checkpoint() {
-  // Snapshot to a temp file, then atomically swap it in before truncating
-  // the journal (a crash between the two steps replays against the new
-  // snapshot: harmless for deletes-after... order matters, so journal
-  // truncation strictly follows the rename).
+  // Snapshot to a temp file, make it durable, then atomically swap it in
+  // and make the rename durable before truncating the journal: a crash at
+  // any point leaves either the old snapshot with the full journal or
+  // the complete new snapshot on disk.
   const std::string tmp = snapshot_path() + ".tmp";
   CINDERELLA_RETURN_IF_ERROR(
       SaveSnapshotToFile(*cinderella_, table_->dictionary(), tmp));
+  CINDERELLA_RETURN_IF_ERROR(SyncPath(tmp));
   if (std::rename(tmp.c_str(), snapshot_path().c_str()) != 0) {
     return Status::Internal("cannot rename snapshot into place");
   }
+  CINDERELLA_RETURN_IF_ERROR(SyncPath(options_.directory));
   // Close the old writer before truncating: its buffered bytes would
-  // otherwise flush into the freshly truncated file on destruction.
-  journal_.reset();
+  // otherwise flush into the freshly truncated file on destruction. On
+  // failure the closed writer stays in place, so later appends fail
+  // with a Status instead of reaching a dead file.
+  CINDERELLA_RETURN_IF_ERROR(journal_->Close());
   StatusOr<std::unique_ptr<JournalWriter>> journal =
       JournalWriter::Open(journal_path(), /*truncate=*/true);
   CINDERELLA_RETURN_IF_ERROR(journal.status());

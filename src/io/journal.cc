@@ -97,9 +97,20 @@ bool ReadRowPayload(std::ifstream& in, Row* row) {
 JournalWriter::JournalWriter(int fd) : fd_(fd) {}
 
 JournalWriter::~JournalWriter() {
-  const Status flushed = FlushBuffer();
-  (void)flushed;  // Destructors cannot report write failures.
-  if (fd_ >= 0) ::close(fd_);
+  const Status closed = Close();
+  (void)closed;  // Destructors cannot report write failures.
+}
+
+Status JournalWriter::Close() {
+  if (fd_ < 0) return Status::OK();
+  Status status = FlushBuffer();
+  buffer_.clear();
+  if (::close(fd_) != 0 && status.ok()) {
+    status = Status::Internal(std::string("journal close failure: ") +
+                              std::strerror(errno));
+  }
+  fd_ = -1;
+  return status;
 }
 
 StatusOr<std::unique_ptr<JournalWriter>> JournalWriter::Open(

@@ -65,7 +65,7 @@ class JournalWriter {
   static StatusOr<std::unique_ptr<JournalWriter>> Open(
       const std::string& path, bool truncate);
 
-  /// Flushes buffered entries to the OS (no fsync) and closes.
+  /// Close(), ignoring its error; call Close() to see it.
   ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
@@ -97,6 +97,11 @@ class JournalWriter {
   /// Writes buffered entries to the OS and fsyncs the file: everything
   /// logged so far is durable when this returns OK.
   Status Sync();
+
+  /// Flushes buffered entries to the OS (no fsync) and closes the file;
+  /// the first failure of the two comes back. Later calls return OK and
+  /// later appends fail.
+  Status Close();
 
   uint64_t entries_written() const { return entries_; }
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <new>
 
-#include "common/logging.h"
 #include "core/refcounted_synopsis.h"
 
 namespace cinderella {
@@ -19,46 +18,87 @@ inline uint64_t MixEntity(EntityId id) {
   return x ^ (x >> 31);
 }
 
+/// Rounds `offset` up to a multiple of `align` (a power of two).
+constexpr size_t AlignUp(size_t offset, size_t align) {
+  return (offset + align - 1) & ~(align - 1);
+}
+
 }  // namespace
-
-// -- ShellPool ----------------------------------------------------------------
-
-ShellPool::~ShellPool() {
-  for (void* p : free_) ::operator delete(p);
-}
-
-void* ShellPool::Acquire(size_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CINDERELLA_CHECK(size_ == 0 || size_ == size);
-  size_ = size;
-  if (!free_.empty()) {
-    void* p = free_.back();
-    free_.pop_back();
-    ++reused_;
-    return p;
-  }
-  ++created_;
-  return ::operator new(size);
-}
-
-void ShellPool::Return(void* storage) {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(storage);
-  ++recycled_;
-}
-
-ShellPool::Stats ShellPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Stats{created_, reused_, recycled_, free_.size()};
-}
 
 // -- PartitionVersion ---------------------------------------------------------
 
-PartitionVersion::PartitionVersion(const Partition& partition, Arena* arena,
-                                   const ColdTier* tier)
-    : id_(partition.id()), arena_(arena) {
-  arena_->Ref();
-  const size_t used_before = arena_->bytes_used();
+struct PartitionVersion::Layout {
+  uint32_t row_count = 0;
+  uint32_t cell_total = 0;
+  size_t index_capacity = 0;  // 0 for a cold version: no point index.
+  size_t words = 0;
+  size_t rows = 0;  // Region offsets from the buffer's start.
+  size_t cells = 0;
+  size_t index = 0;
+  size_t synopsis = 0;
+  size_t counts = 0;
+  size_t total = 0;  // Buffer size.
+
+  explicit Layout(const Partition& partition) {
+    if (!partition.cold()) {
+      const std::vector<Row>& src = partition.segment().rows();
+      row_count = static_cast<uint32_t>(src.size());
+      size_t cells_sum = 0;
+      for (const Row& row : src) cells_sum += row.cells().size();
+      cell_total = static_cast<uint32_t>(cells_sum);
+      // Open-addressing point index at load factor <= 0.5.
+      index_capacity = 2;
+      while (index_capacity < size_t{2} * row_count) index_capacity <<= 1;
+    }
+    words = partition.attribute_refcounts().synopsis().words().size();
+    // The regions in scan order behind the header, each aligned for its
+    // element type.
+    size_t offset = sizeof(PartitionVersion);
+    auto region = [&offset](size_t count, size_t size, size_t align) {
+      const size_t begin = AlignUp(offset, align);
+      offset = begin + count * size;
+      return begin;
+    };
+    rows = region(row_count, sizeof(PackedRow), alignof(PackedRow));
+    cells = region(cell_total, sizeof(Row::Cell), alignof(Row::Cell));
+    index = region(index_capacity, sizeof(IndexSlot), alignof(IndexSlot));
+    synopsis = region(words, sizeof(uint64_t), alignof(uint64_t));
+    counts = region(words * 64, sizeof(uint32_t), alignof(uint32_t));
+    total = offset;
+  }
+};
+
+const PartitionVersion* PartitionVersion::Create(
+    const Partition& partition, const ColdTier* tier,
+    std::atomic<size_t>* held_bytes) {
+  static_assert(alignof(PartitionVersion) <=
+                    __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&
+                alignof(Row::Cell) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  const Layout layout(partition);
+  void* buffer = ::operator new(layout.total);
+  return new (buffer) PartitionVersion(partition, tier, layout, held_bytes);
+}
+
+void PartitionVersion::Destroy(const PartitionVersion* version) {
+  auto* doomed = const_cast<PartitionVersion*>(version);
+  const size_t bytes = doomed->buffer_bytes_;
+  std::atomic<size_t>* held_bytes = doomed->held_bytes_;
+  doomed->~PartitionVersion();
+  ::operator delete(static_cast<void*>(doomed), bytes);
+  if (held_bytes != nullptr) {
+    held_bytes->fetch_sub(bytes, std::memory_order_relaxed);
+  }
+}
+
+PartitionVersion::PartitionVersion(const Partition& partition,
+                                   const ColdTier* tier, const Layout& layout,
+                                   std::atomic<size_t>* held_bytes)
+    : id_(partition.id()),
+      buffer_bytes_(layout.total),
+      held_bytes_(held_bytes) {
+  char* const base = reinterpret_cast<char*>(this);
+  row_count_ = layout.row_count;
+  cell_total_ = layout.cell_total;
 
   if (partition.cold()) {
     // Cold capture: share the page chain, pack only the memory-resident
@@ -67,23 +107,17 @@ PartitionVersion::PartitionVersion(const Partition& partition, Arena* arena,
     cold_chain_ = partition.cold_chain();
     tier_ = tier;
     row_count_ = static_cast<uint32_t>(cold_chain_->entities);
-    cell_total_ = 0;  // No packed cells; the destructor's destroy pass skips.
     rows_ = nullptr;
-    cells_ = nullptr;
+    cells_ = nullptr;  // No packed cells; the destructor's destroy pass skips.
     index_ = nullptr;
   } else {
     const std::vector<Row>& src = partition.segment().rows();
-    row_count_ = static_cast<uint32_t>(src.size());
-
-    size_t total_cells = 0;
-    for (const Row& row : src) total_cells += row.cells().size();
-    cell_total_ = static_cast<uint32_t>(total_cells);
 
     // Row headers, then the shared cell array: one pass copy-constructs
     // every cell in scan order, so a sequential scan of this version reads
     // monotonically increasing addresses.
-    PackedRow* rows = arena_->AllocateArrayOf<PackedRow>(row_count_);
-    cells_ = arena_->AllocateArrayOf<Row::Cell>(total_cells);
+    auto* rows = reinterpret_cast<PackedRow*>(base + layout.rows);
+    cells_ = reinterpret_cast<Row::Cell*>(base + layout.cells);
     uint32_t cursor = 0;
     for (uint32_t i = 0; i < row_count_; ++i) {
       const std::vector<Row::Cell>& cells = src[i].cells();
@@ -95,12 +129,11 @@ PartitionVersion::PartitionVersion(const Partition& partition, Arena* arena,
     }
     rows_ = rows;
 
-    // Open-addressing point index at load factor <= 0.5.
-    size_t capacity = 2;
-    while (capacity < size_t{2} * row_count_) capacity <<= 1;
-    index_mask_ = static_cast<uint32_t>(capacity - 1);
-    IndexSlot* slots = arena_->AllocateArrayOf<IndexSlot>(capacity);
-    for (size_t i = 0; i < capacity; ++i) slots[i].row = kEmptySlot;
+    index_mask_ = static_cast<uint32_t>(layout.index_capacity - 1);
+    auto* slots = reinterpret_cast<IndexSlot*>(base + layout.index);
+    for (size_t i = 0; i < layout.index_capacity; ++i) {
+      slots[i].row = kEmptySlot;
+    }
     for (uint32_t i = 0; i < row_count_; ++i) {
       uint32_t h = static_cast<uint32_t>(MixEntity(rows[i].id)) & index_mask_;
       while (slots[h].row != kEmptySlot) h = (h + 1) & index_mask_;
@@ -115,13 +148,13 @@ PartitionVersion::PartitionVersion(const Partition& partition, Arena* arena,
   const std::vector<uint64_t>& words = refcounts.synopsis().words();
   synopsis_word_count_ = words.size();
   synopsis_cardinality_ = refcounts.synopsis().Count();
-  uint64_t* packed_words = arena_->AllocateArrayOf<uint64_t>(words.size());
+  auto* packed_words = reinterpret_cast<uint64_t*>(base + layout.synopsis);
   if (!words.empty()) {
     std::memcpy(packed_words, words.data(), words.size() * sizeof(uint64_t));
   }
   synopsis_words_ = packed_words;
   carrier_len_ = static_cast<uint32_t>(words.size() * 64);
-  uint32_t* counts = arena_->AllocateArrayOf<uint32_t>(carrier_len_);
+  auto* counts = reinterpret_cast<uint32_t*>(base + layout.counts);
   if (carrier_len_ != 0) {
     std::memset(counts, 0, carrier_len_ * sizeof(uint32_t));
   }
@@ -138,14 +171,15 @@ PartitionVersion::PartitionVersion(const Partition& partition, Arena* arena,
 
   byte_size_ = cold_chain_ != nullptr ? cold_chain_->bytes
                                       : partition.segment().byte_size();
-  arena_bytes_ = arena_->bytes_used() - used_before;
+  if (held_bytes_ != nullptr) {
+    held_bytes_->fetch_add(buffer_bytes_, std::memory_order_relaxed);
+  }
 }
 
 PartitionVersion::~PartitionVersion() {
-  // Cell Values may own heap strings; destroy them before the arena's
-  // storage is recycled. (Cold versions packed none.)
+  // Cell Values may own heap strings; destroy them before Destroy frees
+  // the buffer. (Cold versions packed none.)
   if (cells_ != nullptr) std::destroy_n(cells_, cell_total_);
-  arena_->Unref();
 }
 
 RowView PartitionVersion::Find(EntityId entity) const {
@@ -198,59 +232,20 @@ uint64_t CatalogView::byte_size() const {
 // -- CatalogCapture -----------------------------------------------------------
 
 CatalogCapture::CatalogCapture(const PartitionCatalog& catalog) {
-  // Unpooled: the last version's Unref deletes the arena. The constructor
-  // holds its own reference while packing, so a capture of an empty
-  // catalog frees the arena right here.
-  Arena* arena = new Arena();
-  arena->Ref();
   view_.partitions_.reserve(catalog.partition_count());
   catalog.ForEachPartition([&](const Partition& partition) {
     const ColdTier* tier =
         partition.cold() ? partition.cold_chain()->tier : nullptr;
-    view_.partitions_.push_back(new PartitionVersion(partition, arena, tier));
+    view_.partitions_.push_back(PartitionVersion::Create(partition, tier));
     view_.entity_count_ += partition.entity_count();
   });
   view_.generation_ = 1;
-  arena->Unref();
 }
 
 CatalogCapture::~CatalogCapture() {
-  for (const PartitionVersion* version : view_.partitions_) delete version;
-}
-
-// -- ViewPool -----------------------------------------------------------------
-
-ViewPool::~ViewPool() {
-  for (CatalogView* view : free_) delete view;
-}
-
-CatalogView* ViewPool::Acquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_.empty()) {
-    CatalogView* view = free_.back();
-    free_.pop_back();
-    ++reused_;
-    return view;
+  for (const PartitionVersion* version : view_.partitions_) {
+    PartitionVersion::Destroy(version);
   }
-  ++created_;
-  auto* view = new CatalogView();
-  view->pool_ = this;
-  return view;
-}
-
-void ViewPool::Return(CatalogView* view) {
-  view->partitions_.clear();  // Keeps capacity for the next generation.
-  view->generation_ = 0;
-  view->entity_count_ = 0;
-  view->tree_ = SynopsisTreeSnapshot();  // Drop the tree-root reference.
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(view);
-  ++recycled_;
-}
-
-ViewPool::Stats ViewPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Stats{created_, reused_, recycled_, free_.size()};
 }
 
 }  // namespace cinderella

@@ -1,12 +1,12 @@
 #ifndef CINDERELLA_MVCC_PARTITION_VERSION_H_
 #define CINDERELLA_MVCC_PARTITION_VERSION_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/catalog.h"
 #include "core/partition.h"
 #include "storage/cold_tier.h"
@@ -16,55 +16,16 @@
 
 namespace cinderella {
 
-/// Fixed-size raw-storage free list for pooled version/view shells. The
-/// publisher places PartitionVersion objects into recycled storage so
-/// steady-state publication allocates nothing; the epoch reclaimer runs
-/// the destructor and returns the storage here instead of freeing it.
-/// Thread-safe (Acquire on the publisher thread, Return on whichever
-/// thread drives reclamation).
-class ShellPool {
- public:
-  struct Stats {
-    uint64_t created = 0;   // Acquire() misses (::operator new).
-    uint64_t reused = 0;    // Acquire() hits.
-    uint64_t recycled = 0;  // Returns.
-    size_t pooled = 0;      // Currently idle.
-  };
-
-  ShellPool() = default;
-  ~ShellPool();
-
-  ShellPool(const ShellPool&) = delete;
-  ShellPool& operator=(const ShellPool&) = delete;
-
-  /// Storage of `size` bytes (the same size every call — one pool per
-  /// shell type).
-  void* Acquire(size_t size);
-
-  /// Returns storage previously handed out by Acquire.
-  void Return(void* storage);
-
-  Stats stats() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<void*> free_;
-  size_t size_ = 0;
-  uint64_t created_ = 0;
-  uint64_t reused_ = 0;
-  uint64_t recycled_ = 0;
-};
-
 /// An immutable copy-on-write snapshot of one partition, taken at a
 /// publication point (see versioned_table.h). Readers scan versions
 /// instead of live Partition objects, so the ingest writer never has to
 /// take a lock the read path contends on.
 ///
-/// Storage: everything the version owns — row headers, cell payloads,
-/// point index, synopsis words, carrier counts — is packed into one
-/// publication-shared Arena, so a ForEachPartition scan walks sequential
-/// memory instead of chasing per-version heap blocks:
+/// Storage: each version is one exact-size heap buffer. This header sits
+/// at its front and everything the version owns is packed behind it, so
+/// a scan of one version walks sequential memory:
 ///
+///   PartitionVersion       this header
 ///   PackedRow[row_count]   (id, cell range)     8+4+4 bytes each
 ///   Row::Cell[cell_total]  cell payloads, per-row slices sorted by attr
 ///   IndexSlot[pow2]        open-addressing point index, load <= 0.5
@@ -73,13 +34,13 @@ class ShellPool {
 ///
 /// Cells hold Value variants; string payloads beyond the SSO buffer
 /// remain heap-backed (the std::string inside the variant owns them), so
-/// the destructor destroys the cell array before the arena is recycled.
+/// Destroy runs the cell destructors before it frees the buffer.
 ///
 /// Lifetime: versions are created by the publisher, shared by any number
 /// of CatalogViews, retired to the EpochManager exactly once (when they
-/// leave the newest view), and reclaimed when no pinned reader can reach
-/// them. Each version holds one reference on its arena; the arena
-/// recycles into the publisher's ArenaPool when its last version dies.
+/// leave the newest view), and destroyed when no pinned reader can reach
+/// them. A version's buffer lives exactly as long as the version: it
+/// shares no storage with the other versions of its publication.
 class PartitionVersion {
  public:
   /// One row header: entity id plus its slice of the packed cell array.
@@ -89,21 +50,24 @@ class PartitionVersion {
     uint32_t cell_count;
   };
 
-  /// Packs the partition's current state into `arena` and takes one
-  /// arena reference. Must be called while the catalog is quiescent (the
-  /// publisher's lock).
+  /// Packs the partition's current state into a fresh buffer sized for
+  /// it. Must be called while the catalog is quiescent (the publisher's
+  /// lock). When `held_bytes` is non-null, the buffer's size is added to
+  /// it here and subtracted by Destroy; it must outlive the version.
   ///
   /// A *cold* partition (rows evicted to a page chain) yields a cold
   /// version: the synopsis, carrier counts, and size totals are packed
-  /// into the arena as usual — pruning and estimation stay I/O-free —
-  /// but no rows, cells, or point index are materialized. The version
-  /// instead shares ownership of the partition's ColdChain (keeping its
-  /// pages alive for snapshot readers even across a later fault-in or
-  /// re-spill) and remembers `tier` so scans can fetch the chain.
-  PartitionVersion(const Partition& partition, Arena* arena,
-                   const ColdTier* tier = nullptr);
+  /// as usual — pruning and estimation stay I/O-free — but no rows,
+  /// cells, or point index are materialized. The version instead shares
+  /// ownership of the partition's ColdChain (keeping its pages alive for
+  /// snapshot readers even across a later fault-in or re-spill) and
+  /// remembers `tier` so scans can fetch the chain.
+  static const PartitionVersion* Create(
+      const Partition& partition, const ColdTier* tier = nullptr,
+      std::atomic<size_t>* held_bytes = nullptr);
 
-  ~PartitionVersion();
+  /// Destroys a version Create built and frees its buffer.
+  static void Destroy(const PartitionVersion* version);
 
   PartitionVersion(const PartitionVersion&) = delete;
   PartitionVersion& operator=(const PartitionVersion&) = delete;
@@ -134,7 +98,7 @@ class PartitionVersion {
   /// Row headers in the segment's scan order at capture time.
   const PackedRow* packed_rows() const { return rows_; }
 
-  /// The shared cell array; row i's cells are
+  /// The packed cell array; row i's cells are
   /// cell_data()[rows[i].cell_begin .. +rows[i].cell_count).
   const Row::Cell* cell_data() const { return cells_; }
 
@@ -165,24 +129,26 @@ class PartitionVersion {
   /// Point lookup; an invalid view when the entity is not resident.
   RowView Find(EntityId entity) const;
 
-  /// Bytes this version consumed from its arena (diagnostics).
-  size_t arena_bytes() const { return arena_bytes_; }
-
-  /// The shell pool this version's storage returns to on reclamation;
-  /// nullptr when the shell was plain-new'ed. Set by the publisher.
-  ShellPool* shell_pool() const { return shell_pool_; }
+  /// Size of this version's buffer, header included (diagnostics).
+  size_t buffer_bytes() const { return buffer_bytes_; }
 
  private:
-  friend class VersionedTable;
-
   struct IndexSlot {
     EntityId entity;
     uint32_t row;  // kEmptySlot when free.
   };
   static constexpr uint32_t kEmptySlot = ~uint32_t{0};
 
+  /// Region sizes and byte offsets inside the buffer.
+  struct Layout;
+
+  /// Fills the header and the regions of the buffer it sits at the front
+  /// of; only Create calls it.
+  PartitionVersion(const Partition& partition, const ColdTier* tier,
+                   const Layout& layout, std::atomic<size_t>* held_bytes);
+  ~PartitionVersion();
+
   PartitionId id_;
-  Arena* arena_;
   const PackedRow* rows_;
   Row::Cell* cells_;  // Mutable only for the destructor's destroy pass.
   const IndexSlot* index_;
@@ -195,8 +161,8 @@ class PartitionVersion {
   const uint32_t* carrier_counts_;
   uint32_t carrier_len_ = 0;
   uint64_t byte_size_ = 0;
-  size_t arena_bytes_ = 0;
-  ShellPool* shell_pool_ = nullptr;
+  size_t buffer_bytes_ = 0;
+  std::atomic<size_t>* held_bytes_ = nullptr;
   std::shared_ptr<const ColdChain> cold_chain_;  // Null when hot.
   const ColdTier* tier_ = nullptr;
 };
@@ -209,8 +175,6 @@ class PartitionVersion {
 ///
 /// Views share unchanged versions with their predecessor; only partitions
 /// the mutation touched are re-copied (COW at partition granularity).
-/// View objects themselves are pooled (see VersionedTable): reclamation
-/// clears and recycles them, keeping the partitions_ capacity.
 class CatalogView {
  public:
   CatalogView() = default;
@@ -262,26 +226,21 @@ class CatalogView {
 
  private:
   friend class VersionedTable;
-  friend class ViewPool;
   friend class CatalogCapture;
 
   std::vector<const PartitionVersion*> partitions_;
   uint64_t generation_ = 0;
   size_t entity_count_ = 0;
   SynopsisTreeSnapshot tree_;
-  /// Recycle target on reclamation; nullptr when plain-new'ed. The
-  /// pointer doubles as the free-list link owner — see
-  /// VersionedTable::ReclaimView.
-  class ViewPool* pool_ = nullptr;
 };
 
 /// An owned, immutable CatalogView of a quiescent PartitionCatalog, for
 /// catalogs no VersionedTable publishes (the baseline partitioners, and
 /// the tests and figure benches that compare Cinderella with them). Every
 /// live partition — empty ones included, so scan counters match the
-/// catalog's partition count — is packed into one unpooled Arena that
-/// deletes itself when the capture's last version releases it. Cold
-/// partitions are carried as their page chains and read through
+/// catalog's partition count — becomes a version built exactly as a
+/// VersionedTable builds it, and the capture destroys them all when it
+/// dies. Cold partitions are carried as their page chains and read through
 /// ColdChain::tier, which must outlive the capture's scans. No synopsis
 /// tree is built, so scans over a capture take the flat path.
 ///
@@ -299,39 +258,6 @@ class CatalogCapture {
 
  private:
   CatalogView view_;
-};
-
-/// Free list of recycled CatalogView objects (kept constructed so their
-/// partitions_ capacity survives reuse). Thread-safety mirrors ShellPool.
-class ViewPool {
- public:
-  struct Stats {
-    uint64_t created = 0;
-    uint64_t reused = 0;
-    uint64_t recycled = 0;
-    size_t pooled = 0;
-  };
-
-  ViewPool() = default;
-  ~ViewPool();
-
-  ViewPool(const ViewPool&) = delete;
-  ViewPool& operator=(const ViewPool&) = delete;
-
-  /// An empty view whose pool_ points here.
-  CatalogView* Acquire();
-
-  /// Clears `view` (keeping capacity) and free-lists it.
-  void Return(CatalogView* view);
-
-  Stats stats() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<CatalogView*> free_;
-  uint64_t created_ = 0;
-  uint64_t reused_ = 0;
-  uint64_t recycled_ = 0;
 };
 
 }  // namespace cinderella

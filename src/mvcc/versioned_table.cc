@@ -1,7 +1,6 @@
 #include "mvcc/versioned_table.h"
 
 #include <algorithm>
-#include <new>
 #include <string>
 #include <utility>
 
@@ -64,13 +63,11 @@ VersionedTable::~VersionedTable() {
       epochs_.RetireObject(const_cast<PartitionVersion*>(version),
                            &VersionedTable::ReclaimVersion);
     }
-    epochs_.RetireObject(const_cast<CatalogView*>(view),
-                         &VersionedTable::ReclaimView);
+    epochs_.Retire(view);
   }
   epochs_.Advance();
   CINDERELLA_CHECK(epochs_.retired_count() == 0);
-  // Member destruction frees the pools after epochs_: every version, view
-  // shell, and arena is back in its pool by now.
+  CINDERELLA_CHECK(held_bytes_.load(std::memory_order_relaxed) == 0);
 }
 
 // -- Read path ----------------------------------------------------------------
@@ -129,7 +126,7 @@ VersionedTable::MemoryStats VersionedTable::memory_stats() const {
     stats.generation = snap.view().generation();
     stats.live_versions = snap.view().partition_count();
     for (const PartitionVersion* version : snap.view().partitions()) {
-      stats.view_bytes += version->arena_bytes();
+      stats.view_bytes += version->buffer_bytes();
       if (version->cold()) {
         ++stats.cold_versions;
         stats.cold_bytes += version->cold_chain()->bytes;
@@ -139,11 +136,11 @@ VersionedTable::MemoryStats VersionedTable::memory_stats() const {
       }
     }
   }
+  stats.held_bytes = held_bytes_.load(std::memory_order_relaxed);
   stats.retired_objects = epochs_.retired_count();
   stats.reclaimed_objects = epochs_.reclaimed_count();
-  stats.arenas = arena_pool_.stats();
-  stats.version_shells = version_pool_.stats();
-  stats.views = view_pool_.stats();
+  stats.arenas.blocks_allocated =
+      buffers_allocated_.load(std::memory_order_relaxed);
   if (query_tree_ != nullptr) {
     std::lock_guard<std::mutex> lock(publish_mu_);
     const SynopsisTree::Stats& tree = query_tree_->stats();
@@ -323,32 +320,14 @@ Status VersionedTable::SpillPartitions(const std::vector<PartitionId>& ids,
 // -- Publication --------------------------------------------------------------
 
 const PartitionVersion* VersionedTable::MakeVersionLocked(
-    const Partition& partition, Arena* arena) {
-  void* storage = version_pool_.Acquire(sizeof(PartitionVersion));
-  auto* version =
-      new (storage) PartitionVersion(partition, arena, cinderella_->cold_tier());
-  version->shell_pool_ = &version_pool_;
-  return version;
+    const Partition& partition) {
+  buffers_allocated_.fetch_add(1, std::memory_order_relaxed);
+  return PartitionVersion::Create(partition, cinderella_->cold_tier(),
+                                  &held_bytes_);
 }
 
 void VersionedTable::ReclaimVersion(void* object) {
-  auto* version = static_cast<PartitionVersion*>(object);
-  ShellPool* pool = version->shell_pool_;
-  version->~PartitionVersion();
-  if (pool != nullptr) {
-    pool->Return(object);
-  } else {
-    ::operator delete(object);
-  }
-}
-
-void VersionedTable::ReclaimView(void* object) {
-  auto* view = static_cast<CatalogView*>(object);
-  if (view->pool_ != nullptr) {
-    view->pool_->Return(view);
-  } else {
-    delete view;
-  }
+  PartitionVersion::Destroy(static_cast<const PartitionVersion*>(object));
 }
 
 void VersionedTable::PublishLocked(size_t delta_hint) {
@@ -377,11 +356,9 @@ void VersionedTable::PublishLocked(size_t delta_hint) {
       fresh_scratch_;
 
   // Fresh versions for every partition the delta touched or created that
-  // is still live, packed into one pooled arena (acquired lazily: a
-  // delta that only drops partitions needs none). A touched-then-dropped
-  // partition (split source, drained empty partition) lands in `dropped`
-  // or resolves to nullptr and is excluded either way.
-  Arena* arena = nullptr;
+  // is still live. A touched-then-dropped partition (split source, drained
+  // empty partition) lands in `dropped` or resolves to nullptr and is
+  // excluded either way.
   auto consider = [&](PartitionId id) {
     if (dropped.count(id) != 0 || fresh.count(id) != 0) return;
     const Partition* partition = catalog.GetPartition(id);
@@ -393,8 +370,7 @@ void VersionedTable::PublishLocked(size_t delta_hint) {
       dropped.insert(id);
       return;
     }
-    if (arena == nullptr) arena = arena_pool_.Acquire();
-    fresh.emplace(id, MakeVersionLocked(*partition, arena));
+    fresh.emplace(id, MakeVersionLocked(*partition));
   };
   for (PartitionId id : delta.touched) consider(id);
   for (PartitionId id : delta.created) consider(id);
@@ -413,7 +389,7 @@ void VersionedTable::PublishLocked(size_t delta_hint) {
   }
 
   const CatalogView* old_view = current_.load(std::memory_order_seq_cst);
-  CatalogView* view = view_pool_.Acquire();
+  auto* view = new CatalogView();
   superseded_scratch_.clear();
   std::vector<const PartitionVersion*>& superseded = superseded_scratch_;
   view->partitions_.reserve(old_view->partitions().size() + fresh.size());
@@ -453,9 +429,6 @@ void VersionedTable::PublishLocked(size_t delta_hint) {
   if (query_tree_ != nullptr) view->tree_ = query_tree_->Share();
 
   InstallLocked(view, superseded);
-  // Drop the publisher's arena reference; the versions built above hold
-  // theirs until reclamation, and the last one recycles the arena.
-  if (arena != nullptr) arena->Unref();
 }
 
 void VersionedTable::RebuildViewLocked() {
@@ -464,10 +437,9 @@ void VersionedTable::RebuildViewLocked() {
   pending_.created.clear();
   pending_.dropped.clear();
 
-  CatalogView* view = view_pool_.Acquire();
+  auto* view = new CatalogView();
   const PartitionCatalog& catalog = cinderella_->catalog();
   view->partitions_.reserve(catalog.partition_count());
-  Arena* arena = nullptr;
   // Full rebuilds regenerate the tree bulk-bottom-up: one union per
   // internal node instead of a re-OR spine per leaf. The leaf synopsis
   // pointers reference the live partitions, valid for the whole pass.
@@ -476,9 +448,7 @@ void VersionedTable::RebuildViewLocked() {
   catalog.ForEachPartition([&](const Partition& partition) {
     // Same invariant as PublishLocked: views never carry empty versions.
     if (partition.entity_count() == 0) return;
-    if (arena == nullptr) arena = arena_pool_.Acquire();
-    const PartitionVersion* version = MakeVersionLocked(partition, arena);
-    view->partitions_.push_back(version);
+    view->partitions_.push_back(MakeVersionLocked(partition));
     if (query_tree_ != nullptr) {
       leaves.emplace_back(partition.id(),
                           &partition.attribute_refcounts().synopsis());
@@ -492,7 +462,6 @@ void VersionedTable::RebuildViewLocked() {
   std::vector<const PartitionVersion*> superseded;
   if (old_view != nullptr) superseded = old_view->partitions();
   InstallLocked(view, superseded);
-  if (arena != nullptr) arena->Unref();
 }
 
 void VersionedTable::InstallLocked(
@@ -508,10 +477,7 @@ void VersionedTable::InstallLocked(
     epochs_.RetireObject(const_cast<PartitionVersion*>(version),
                          &VersionedTable::ReclaimVersion);
   }
-  if (old_view != nullptr) {
-    epochs_.RetireObject(const_cast<CatalogView*>(old_view),
-                         &VersionedTable::ReclaimView);
-  }
+  if (old_view != nullptr) epochs_.Retire(old_view);
   epochs_.Advance();
 }
 

@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "core/cinderella.h"
 #include "ingest/batch_inserter.h"
@@ -38,14 +37,14 @@ namespace cinderella {
 ///  - Superseded versions and views are retired to the EpochManager and
 ///    reclaimed once no pinned reader can reach them.
 ///
-/// Storage: each publication packs its fresh versions into one Arena
-/// from an internal ArenaPool, and version/view shells come from free
-/// lists — reclamation recycles all three instead of freeing, so steady-
-/// state publication performs zero allocator calls (see common/arena.h
-/// and DESIGN.md §10). The published view is also guaranteed free of
-/// empty partitions: a partition drained by a DeleteBatch (or left empty
-/// by a failed cascade) is dropped from the next view even if the live
-/// catalog briefly keeps it, so estimator totals stay consistent.
+/// Storage: every fresh version is one exact-size buffer
+/// (mvcc/partition_version.h), freed when the EpochManager reclaims that
+/// version, so snapshot memory is the current view plus the versions
+/// retired since the oldest pinned reader (DESIGN.md §10). The published
+/// view is also guaranteed free of empty partitions: a partition drained
+/// by a DeleteBatch (or left empty by a failed cascade) is dropped from
+/// the next view even if the live catalog briefly keeps it, so estimator
+/// totals stay consistent.
 ///
 /// Contract: all mutations must go through this facade (or be followed by
 /// RefreshView()); mutating the underlying Cinderella directly leaves the
@@ -208,22 +207,30 @@ class VersionedTable {
   const Cinderella& partitioner() const { return *cinderella_; }
   EpochManager& epochs() { return epochs_; }
 
-  /// Snapshot memory footprint: what the current generation holds, what
-  /// the pools retain, and what reclamation still owes. Safe to call
+  /// Snapshot memory footprint: what the current generation holds, and
+  /// what retired versions still hold until reclamation. Safe to call
   /// concurrently with readers and writers.
   struct MemoryStats {
     uint64_t generation = 0;
     size_t live_versions = 0;    // Versions in the current view.
-    size_t view_bytes = 0;       // Arena bytes those versions consume.
-    size_t hot_versions = 0;     // Versions with arena-packed rows.
+    size_t view_bytes = 0;       // Buffer bytes of those versions.
+    /// Buffer bytes of every version not yet reclaimed, current or
+    /// retired. Equals view_bytes once no reader pins a retired version.
+    size_t held_bytes = 0;
+    size_t hot_versions = 0;     // Versions with packed rows.
     size_t cold_versions = 0;    // Versions backed by cold page chains.
     uint64_t cold_bytes = 0;     // Logical row bytes resident in chains.
     uint64_t cold_pages = 0;     // Pages those chains occupy.
     size_t retired_objects = 0;  // Awaiting epoch reclamation.
     uint64_t reclaimed_objects = 0;
-    ArenaPool::Stats arenas;
-    ShellPool::Stats version_shells;
-    ViewPool::Stats views;
+    struct Buffers {
+      /// Version buffers allocated since construction: one per published
+      /// partition version. The name is older than per-version buffers
+      /// (versions used to share 64 KiB arena blocks); perfbench reads it
+      /// as mvcc.arena_blocks.
+      uint64_t blocks_allocated = 0;
+    };
+    Buffers arenas;
     /// Publisher-side synopsis tree (the one frozen into each view);
     /// counters are cumulative since construction.
     struct TreeStats {
@@ -265,28 +272,26 @@ class VersionedTable {
   void InstallLocked(CatalogView* view,
                      const std::vector<const PartitionVersion*>& superseded);
 
-  /// Builds one version in pooled shell storage from the publication
-  /// arena. `partition` must be non-empty.
-  const PartitionVersion* MakeVersionLocked(const Partition& partition,
-                                            Arena* arena);
+  /// Builds one version in its own buffer, counted in held_bytes_.
+  /// `partition` must be non-empty.
+  const PartitionVersion* MakeVersionLocked(const Partition& partition);
 
-  /// Epoch deleters: run the destructor, then recycle the shell into its
-  /// pool (plain delete when unpooled).
+  /// Epoch deleter of retired versions.
   static void ReclaimVersion(void* object);
-  static void ReclaimView(void* object);
 
   // Destruction order matters twice over: owned_engine_ detaches from the
-  // partitioner in its destructor, so it must die before owned_; and the
-  // pools must outlive epochs_ (whose reclamation recycles into them), so
-  // they are declared before it.
+  // partitioner in its destructor, so it must die before owned_; and
+  // held_bytes_ must outlive epochs_ (whose reclamation subtracts from
+  // it), so it is declared before it.
   std::unique_ptr<Cinderella> owned_;
   std::unique_ptr<BatchInserter> owned_engine_;
   Cinderella* cinderella_;
   BatchInserter* engine_ = nullptr;
 
-  ArenaPool arena_pool_;
-  ShellPool version_pool_;
-  ViewPool view_pool_;
+  /// Buffer bytes of every unreclaimed version (MemoryStats::held_bytes).
+  std::atomic<size_t> held_bytes_{0};
+  /// Version buffers allocated so far (MemoryStats::arenas).
+  std::atomic<uint64_t> buffers_allocated_{0};
 
   mutable EpochManager epochs_;
   /// Serializes facade write operations. Lock order: write_mu_ before the
@@ -308,10 +313,9 @@ class VersionedTable {
   /// use_synopsis_tree. Guarded by publish_mu_.
   std::unique_ptr<SynopsisTree> query_tree_;
 
-  // Publication scratch, guarded by publish_mu_. Reused so steady-state
-  // publication allocates nothing: the delta ping-pongs its vector
-  // capacity with pending_, and the set/map keep their buckets across
-  // clear().
+  // Publication scratch, guarded by publish_mu_ and reused across
+  // publications: the delta ping-pongs its vector capacity with pending_,
+  // and the set/map keep their buckets across clear().
   CatalogMutations delta_scratch_;
   std::unordered_set<PartitionId> dropped_scratch_;
   std::unordered_map<PartitionId, const PartitionVersion*> fresh_scratch_;

@@ -33,7 +33,7 @@ class Predicate {
 
   /// True if `row` satisfies the predicate. Takes a RowView so the same
   /// evaluation runs over heap Rows (which convert implicitly) and over
-  /// the packed cell arrays of arena-backed MVCC versions.
+  /// the packed cell arrays of MVCC versions.
   virtual bool Matches(const RowView& row) const = 0;
 
   /// Conservative pruning set: a partition whose synopsis does not

@@ -23,8 +23,8 @@ namespace cinderella {
 /// it.
 
 /// Uniform scan input: what one partition version contributes to a scan,
-/// whether its rows are arena-packed (row headers plus one shared cell
-/// array) or live in a cold page chain. Either way the scan body sees
+/// whether its rows are packed in the version's buffer (row headers plus
+/// one cell array) or live in a cold page chain. Either way the scan body sees
 /// RowViews, so predicate evaluation, projection, and aggregation are
 /// layout-agnostic.
 struct ScanSource {

@@ -66,8 +66,8 @@ class Row {
 /// A non-owning view of one row: the entity id plus a span of cells
 /// sorted by attribute id. The scan path hands out RowViews so the same
 /// predicate/projection code runs over heap-backed Rows (fetched from
-/// cold page chains) and over the packed cell arrays of arena-backed MVCC
-/// versions (mvcc/partition_version.h) without copying either.
+/// cold page chains) and over the packed cell arrays of MVCC versions
+/// (mvcc/partition_version.h) without copying either.
 ///
 /// A default-constructed view is invalid (point-lookup miss). Lookup
 /// semantics are exactly Row's: Get() binary-searches the sorted cells.

@@ -16,7 +16,7 @@ class Synopsis;
 
 /// A non-owning view of a synopsis bitset: `num_words` little-endian
 /// 64-bit words plus the cached cardinality. The MVCC snapshot layer
-/// stores version synopses as packed words inside an arena
+/// stores version synopses as packed words inside each version's buffer
 /// (mvcc/partition_version.h) and hands them to the executor/estimator
 /// through this view, so both the live path (Synopsis::span()) and the
 /// packed path run the same pruning code.

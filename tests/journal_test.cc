@@ -2,11 +2,14 @@
 // deterministic replay, torn-tail crash recovery, checkpointing, and
 // dictionary persistence.
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -150,6 +153,26 @@ TEST(JournalTest, TornTailDetected) {
   EXPECT_EQ(entry.row.id(), 1u);
   EXPECT_FALSE(*(*reader)->Next(&entry));
   EXPECT_TRUE((*reader)->torn_tail());
+}
+
+TEST(JournalTest, CloseReportsAFailedFlush) {
+  // /dev/full accepts the open and fails every write with ENOSPC, so the
+  // buffered entry can only fail when Close() flushes it.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  auto writer = JournalWriter::Open("/dev/full", /*truncate=*/false);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->LogInsert(MakeRow(1, {0, 1})).ok());
+  const Status closed = (*writer)->Close();
+  EXPECT_FALSE(closed.ok());
+  EXPECT_NE(closed.ToString().find(std::strerror(ENOSPC)), std::string::npos)
+      << closed.ToString();
+  // Closed once: a second Close has nothing left to report, and appends
+  // after it fail instead of writing.
+  EXPECT_TRUE((*writer)->Close().ok());
+  ASSERT_TRUE((*writer)->LogInsert(MakeRow(2, {0, 1})).ok());
+  EXPECT_FALSE((*writer)->Sync().ok());
 }
 
 // -- DurableTable ------------------------------------------------------------------

@@ -77,8 +77,11 @@ std::vector<Row> MakeUpdates(const std::vector<Row>& base, size_t count,
 
 // -- Batched updates ----------------------------------------------------------
 
+// gtest prints the parameter as raw bytes and CTest carries them in the
+// test names. `shards` is as wide as `window` so the struct has no padding:
+// padding bytes are uninitialized, and the names changed from build to build.
 struct PipelineParam {
-  int shards;
+  size_t shards;
   size_t window;
 };
 
@@ -98,7 +101,7 @@ TEST_P(PipelineDeterminismTest, UpdateBatchMatchesSerial) {
   auto batched = std::move(Cinderella::Create(SmallConfig())).value();
   for (const Row& row : base) ASSERT_TRUE(batched->Insert(row).ok());
   MutationPipelineOptions options;
-  options.shards = param.shards;
+  options.shards = static_cast<int>(param.shards);
   options.window = param.window;
   const std::unique_ptr<MutationPipeline> engine =
       AttachMutationPipeline(batched.get(), options);
@@ -173,7 +176,7 @@ TEST_P(PipelineDeterminismTest, MixedBatchMatchesSerialDispatch) {
   auto batched = std::move(Cinderella::Create(SmallConfig())).value();
   for (const Row& row : base) ASSERT_TRUE(batched->Insert(row).ok());
   MutationPipelineOptions options;
-  options.shards = param.shards;
+  options.shards = static_cast<int>(param.shards);
   options.window = param.window;
   const std::unique_ptr<MutationPipeline> engine =
       AttachMutationPipeline(batched.get(), options);
@@ -211,7 +214,7 @@ TEST_P(PipelineDeterminismTest, ReorganizeMatchesSerial) {
   ASSERT_TRUE(serial->Reorganize().ok());
 
   MutationPipelineOptions options;
-  options.shards = param.shards;
+  options.shards = static_cast<int>(param.shards);
   options.window = param.window;
   const std::unique_ptr<MutationPipeline> engine =
       AttachMutationPipeline(batched.get(), options);

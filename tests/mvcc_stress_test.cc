@@ -138,15 +138,16 @@ TEST(MvccStressTest, ReadersNeverObserveTornViews) {
   EXPECT_EQ(table.epochs().retired_count(), 0u);
 }
 
+// The name is from when publications shared pooled arenas; every version
+// now owns one buffer, and the allocator is what recycles the memory.
 TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
-  // The recycling hazard: a publication arena may only return to the pool
-  // (and be overwritten by a later generation) after the last version
-  // built in it is reclaimed — i.e. after every reader pinned at or
-  // before that generation unpins. Readers here hold snapshots across
-  // writer churn and re-verify the pinned data cell-by-cell; premature
-  // reuse scribbles over the cells they are reading, which the value
-  // checks catch and the TSan/ASan tier-1 passes flag as a race or
-  // use-after-reset.
+  // The reclamation hazard: a superseded version's buffer may only be
+  // freed (and its memory handed to a later version by the allocator)
+  // after every reader pinned at or before its retirement unpins.
+  // Readers here hold snapshots across writer churn and re-verify the
+  // pinned data cell-by-cell; a premature free lets later versions
+  // scribble over the cells they are reading, which the value checks
+  // catch and the ASan tier-1 pass flags as a use-after-free.
   CinderellaConfig config;
   config.weight = 0.4;
   config.max_size = 16;
@@ -162,8 +163,8 @@ TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
   std::atomic<uint64_t> holds{0};
 
   auto view_is_coherent = [](const CatalogView& view) {
-    // MakeRow stores Value(id) at attribute base+2; any overwrite by a
-    // recycled arena breaks the id -> cell agreement.
+    // MakeRow stores Value(id) at attribute base+2; any overwrite of a
+    // freed buffer breaks the id -> cell agreement.
     for (const PartitionVersion* version : view.partitions()) {
       for (size_t i = 0; i < version->entity_count(); ++i) {
         const RowView row = version->row(i);
@@ -189,8 +190,8 @@ TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
       do {
         const VersionedTable::Snapshot snapshot = table.snapshot();
         // First pass, then hold the pin across writer publications, then
-        // re-verify: the arena behind this generation must still hold
-        // exactly the bytes it was published with.
+        // re-verify: the buffers behind this generation must still hold
+        // exactly the bytes they were published with.
         if (!view_is_coherent(snapshot.view())) {
           failed.store(true);
           return;
@@ -207,8 +208,9 @@ TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
     });
   }
 
-  // Writer: single-row updates, each one a publication that acquires an
-  // arena and retires the superseded generation's version and view.
+  // Writer: single-row updates, each one a publication that builds a
+  // fresh version and retires the superseded generation's version and
+  // view.
   for (int i = 0; i < 600; ++i) {
     const EntityId target = static_cast<EntityId>(i % 64);
     ASSERT_TRUE(table.Update(MakeRow(target)).ok());
@@ -220,15 +222,15 @@ TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
   EXPECT_FALSE(failed.load());
   EXPECT_GT(holds.load(), 0u);
 
-  // Recycling did happen under load (the zero-malloc machinery was
-  // actually exercised, not just idle)...
-  const VersionedTable::MemoryStats stats = table.memory_stats();
-  EXPECT_GT(stats.arenas.arenas_recycled, 0u);
-  EXPECT_GT(stats.arenas.arenas_reused, 0u);
-  // ...and with every reader released, one more publication drains all
-  // retired generations back into the pools.
+  // Reclamation did happen under load (retired buffers were freed while
+  // readers came and went, not only at the end)...
+  EXPECT_GT(table.memory_stats().reclaimed_objects, 0u);
+  // ...and with every reader released, one more publication frees every
+  // retired generation: only the current view's buffers stay held.
   ASSERT_TRUE(table.Insert(MakeRow(1000000)).ok());
   EXPECT_EQ(table.epochs().retired_count(), 0u);
+  const VersionedTable::MemoryStats stats = table.memory_stats();
+  EXPECT_EQ(stats.held_bytes, stats.view_bytes);
 }
 
 TEST(MvccStressTest, ReadersNeverObserveTornViewsDuringUpdateBatch) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/cinderella.h"
 #include "io/durable_table.h"
 #include "mvcc/epoch.h"
@@ -409,35 +410,36 @@ TEST(VersionedTableTest, RefreshViewSkipsEmptyLivePartitions) {
   CheckViewInvariants(snapshot.view());
 }
 
-// -- Pooled snapshot storage -------------------------------------------------
+// -- Per-version snapshot buffers ---------------------------------------------
 
+/// Buffer bytes of the versions `view` references.
+size_t ViewBufferBytes(const CatalogView& view) {
+  size_t bytes = 0;
+  for (const PartitionVersion* version : view.partitions()) {
+    bytes += version->buffer_bytes();
+  }
+  return bytes;
+}
+
+// The name is from when publications shared pooled arenas; every version
+// now owns one buffer, and the allocator is what recycles the memory.
 TEST(VersionedTableTest, SteadyStatePublicationRecyclesArenas) {
   VersionedTable table(MakePartitioner());
   ASSERT_TRUE(table.InsertBatch(MakeRows(0, 16)).ok());
 
-  // Warm-up churn establishes the pooled capacity (arena blocks, version
-  // shells, view objects). The warm-up runs the same churn pattern as the
-  // steady phase: the arena working set converges to the set of arenas the
-  // current view references plus the ones cycling through the pool.
-  auto churn = [&](int i) {
+  // Every publication allocates one buffer per fresh version and, with no
+  // reader pinned, frees the buffers of the versions it superseded before
+  // it returns: held bytes never exceed the current view's.
+  for (int i = 0; i < 32; ++i) {
+    const VersionedTable::MemoryStats before = table.memory_stats();
     const EntityId target = 1 + static_cast<EntityId>(i % 2);
     ASSERT_TRUE(table.Update(MakeRow(target, {0, 1, 2})).ok());
-  };
-  for (int i = 0; i < 12; ++i) churn(i);
-  const VersionedTable::MemoryStats warm = table.memory_stats();
-  ASSERT_GT(warm.arenas.blocks_allocated, 0u);
-
-  // Steady state: every further publication reuses a pooled arena, a
-  // pooled version shell, and a pooled view — zero new blocks, zero new
-  // arenas, zero new shells.
-  for (int i = 0; i < 32; ++i) churn(i);
-  const VersionedTable::MemoryStats steady = table.memory_stats();
-  EXPECT_EQ(steady.arenas.blocks_allocated, warm.arenas.blocks_allocated);
-  EXPECT_EQ(steady.arenas.arenas_created, warm.arenas.arenas_created);
-  EXPECT_EQ(steady.version_shells.created, warm.version_shells.created);
-  EXPECT_EQ(steady.views.created, warm.views.created);
-  EXPECT_GT(steady.arenas.arenas_reused, warm.arenas.arenas_reused);
-  EXPECT_GT(steady.version_shells.reused, warm.version_shells.reused);
+    const VersionedTable::MemoryStats after = table.memory_stats();
+    EXPECT_GT(after.arenas.blocks_allocated, before.arenas.blocks_allocated);
+    EXPECT_GT(after.reclaimed_objects, before.reclaimed_objects);
+    EXPECT_EQ(after.retired_objects, 0u);
+    EXPECT_EQ(after.held_bytes, after.view_bytes);
+  }
 
   // The queries still see exactly the right data.
   auto row = table.Get(2);
@@ -453,11 +455,96 @@ TEST(VersionedTableTest, MemoryStatsReportTheLiveFootprint) {
   const VersionedTable::MemoryStats stats = table.memory_stats();
   EXPECT_EQ(stats.generation, table.published_generation());
   EXPECT_EQ(stats.live_versions, table.partition_count());
+  EXPECT_EQ(stats.view_bytes, ViewBufferBytes(table.snapshot().view()));
   EXPECT_GT(stats.view_bytes, 0u);
-  EXPECT_GT(stats.arenas.live_arenas, 0u);
-  // Shells in flight: every live version came from the shell pool.
-  EXPECT_GE(stats.version_shells.created + stats.version_shells.reused,
-            stats.live_versions);
+  EXPECT_EQ(stats.held_bytes, stats.view_bytes);
+  // Every live version was built in a buffer of its own.
+  EXPECT_GE(stats.arenas.blocks_allocated, stats.live_versions);
+}
+
+/// Applies `batches` ApplyMutations batches of 8 ops on random entities
+/// of `live` (70% updates, 20% deletes, 10% inserts of fresh ids from
+/// `*next_id`), each batch touching an entity at most once, and calls
+/// `check` after every batch.
+template <typename Check>
+void ApplyPartialChurn(VersionedTable* table, Rng* rng,
+                       std::vector<EntityId>* live, EntityId* next_id,
+                       int batches, Check check) {
+  for (int batch = 0; batch < batches; ++batch) {
+    std::vector<Mutation> ops;
+    std::set<EntityId> touched;
+    while (ops.size() < 8) {
+      const uint64_t roll = rng->Uniform(10);
+      if (roll == 0) {
+        const EntityId id = (*next_id)++;
+        ops.push_back(Mutation::Insert(MakeRows(id, 1).front()));
+        live->push_back(id);
+        touched.insert(id);
+        continue;
+      }
+      const size_t pick = rng->Uniform(live->size());
+      const EntityId id = (*live)[pick];
+      if (!touched.insert(id).second) continue;
+      if (roll <= 2) {
+        ops.push_back(Mutation::Delete(id));
+        (*live)[pick] = live->back();
+        live->pop_back();
+      } else {
+        // A different attribute cluster moves the entity between
+        // partitions now and then.
+        const AttributeId base = static_cast<AttributeId>(rng->Uniform(4) * 8);
+        ops.push_back(Mutation::Update(MakeRow(id, {base, base + 1, base + 2})));
+      }
+    }
+    ASSERT_TRUE(table->ApplyMutations(std::move(ops)).ok());
+    check();
+  }
+}
+
+TEST(VersionedTableTest, HeldBytesStayBoundedUnderPartialChurn) {
+  // Small writes re-touch a few partitions of a large catalog at a time,
+  // so the versions of one publication are superseded at different
+  // times. Each version's buffer must be freed when that version is
+  // reclaimed, whatever happens to the rest of its publication.
+  VersionedTable table(MakePartitioner(/*max_size=*/8));
+  ASSERT_TRUE(table.InsertBatch(MakeRows(0, 400)).ok());
+  ASSERT_GE(table.partition_count(), 32u);
+  std::vector<EntityId> live;
+  for (EntityId id = 0; id < 400; ++id) live.push_back(id);
+  EntityId next_id = 400;
+  Rng rng(2014);
+
+  // No reader pinned: every publication reclaims what it retired.
+  ApplyPartialChurn(&table, &rng, &live, &next_id, 100, [&] {
+    const VersionedTable::MemoryStats stats = table.memory_stats();
+    ASSERT_EQ(stats.held_bytes, stats.view_bytes);
+    ASSERT_EQ(stats.retired_objects, 0u);
+  });
+
+  // One reader pinned across the stream: its view's buffers stay held
+  // (and readable) until it lets go.
+  {
+    const VersionedTable::Snapshot pinned = table.snapshot();
+    const size_t pinned_bytes = ViewBufferBytes(pinned.view());
+    const size_t pinned_entities = pinned.view().entity_count();
+    ApplyPartialChurn(&table, &rng, &live, &next_id, 100, [&] {
+      const VersionedTable::MemoryStats stats = table.memory_stats();
+      ASSERT_GE(stats.held_bytes, pinned_bytes);
+      ASSERT_GE(stats.held_bytes, stats.view_bytes);
+    });
+    EXPECT_GT(table.memory_stats().retired_objects, 0u);
+    EXPECT_EQ(ViewBufferBytes(pinned.view()), pinned_bytes);
+    EXPECT_EQ(pinned.view().entity_count(), pinned_entities);
+    CheckViewInvariants(pinned.view());
+  }
+
+  // Released: one more publication frees everything retired meanwhile.
+  ASSERT_TRUE(table.Insert(MakeRows(next_id, 1).front()).ok());
+  const VersionedTable::MemoryStats stats = table.memory_stats();
+  EXPECT_EQ(stats.held_bytes, stats.view_bytes);
+  EXPECT_EQ(stats.retired_objects, 0u);
+  EXPECT_EQ(table.entity_count(), live.size() + 1);
+  CheckViewInvariants(table.snapshot().view());
 }
 
 // -- Journaled DeleteBatch (DurableTable) ------------------------------------

@@ -346,7 +346,7 @@ TEST_F(ColdEngineTest, EfficiencyCountsSpilledPartitionsLikeHotOnes) {
 
 // -- CatalogCapture: an owned snapshot of a catalog no VersionedTable
 // publishes. The ASan+leak pass of tools/tier1.sh checks that each
-// capture's self-freeing arena is released exactly once.
+// version buffer a capture builds is freed exactly once.
 
 TEST(CatalogCaptureTest, KeepsEmptyPartitionsInTheScanCounters) {
   PartitionCatalog catalog;
@@ -419,7 +419,7 @@ TEST(CatalogCaptureTest, ColdPartitionsScanToTheAllHotRowsAfterTheCatalogDies) {
       [&](const PartitionVersion& version) { cold += version.cold() ? 1 : 0; });
   EXPECT_GT(cold, 0u);
   EXPECT_LT(cold, partitions);
-  capture.reset();  // Last reference: versions, arena and chains go.
+  capture.reset();  // Last reference: versions and chains go.
   EXPECT_EQ(tier->stats().chains, 0u);
 }
 

@@ -518,16 +518,16 @@ int Stats(const Args& args) {
 
   // Snapshot memory footprint: publish one MVCC view of the restored
   // table and report what the read engine holds for it — how many
-  // immutable versions the current generation references, the arena
-  // bytes they pack, and what the pools would retain across
-  // republication (common/arena.h, DESIGN.md §10).
+  // immutable versions the current generation references, the buffer
+  // bytes they pack, and what unreclaimed versions hold in total
+  // (mvcc/partition_version.h, DESIGN.md §10).
   {
     VersionedTable versioned(&c, nullptr);
     const VersionedTable::MemoryStats m = versioned.memory_stats();
     std::printf("mvcc snapshot footprint:\n");
     std::printf("  generation          %llu\n",
                 static_cast<unsigned long long>(m.generation));
-    std::printf("  live versions       %zu (%.2f MiB packed)\n",
+    std::printf("  live versions       %zu (%.2f MiB view bytes)\n",
                 m.live_versions,
                 static_cast<double>(m.view_bytes) / (1024.0 * 1024.0));
     std::printf("  tier residency      %zu hot / %zu cold versions "
@@ -535,17 +535,11 @@ int Stats(const Args& args) {
                 m.hot_versions, m.cold_versions,
                 static_cast<double>(m.cold_bytes) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(m.cold_pages));
-    std::printf("  arenas live/pooled  %zu/%zu (%.2f MiB retained idle)\n",
-                m.arenas.live_arenas, m.arenas.pooled_arenas,
-                static_cast<double>(m.arenas.bytes_retained) /
-                    (1024.0 * 1024.0));
-    std::printf("  arena high-water    %.2f MiB (%llu idle blocks trimmed)\n",
-                static_cast<double>(m.arenas.bytes_high_water) /
-                    (1024.0 * 1024.0),
-                static_cast<unsigned long long>(m.arenas.blocks_trimmed));
-    std::printf("  version shells      %llu created, %zu pooled\n",
-                static_cast<unsigned long long>(m.version_shells.created),
-                m.version_shells.pooled);
+    std::printf("  held bytes          %.2f MiB (current and retired "
+                "versions)\n",
+                static_cast<double>(m.held_bytes) / (1024.0 * 1024.0));
+    std::printf("  buffers allocated   %llu\n",
+                static_cast<unsigned long long>(m.arenas.blocks_allocated));
     std::printf("  retired awaiting gc %zu (reclaimed %llu)\n",
                 m.retired_objects,
                 static_cast<unsigned long long>(m.reclaimed_objects));

@@ -7,9 +7,9 @@
 # networked node-server path (loopback TCP clients vs the acceptor/worker
 # pool while snapshots republish) to catch
 # data races the regular build cannot, then an address-sanitized build of
-# the MVCC + arena tests with leak detection on — epoch-based deferred
-# reclamation must free every retired version exactly once, and pooled
-# arenas/shells must balance their create/recycle counts. The tiered
+# the MVCC tests with leak detection on — epoch-based deferred
+# reclamation must free every retired version's buffer exactly once, and
+# never while a pinned reader can still reach it. The tiered
 # cold store runs in both side builds: its spill/fault cycles and
 # snapshot readers over a spilling writer under TSan, and chain/page
 # ownership under ASan with leak detection. A final
@@ -83,22 +83,21 @@ if [[ "$FAST" -eq 0 ]]; then
 fi
 
 echo "== tier-1: ASan+leak build of the MVCC read engine tests =="
-ASAN_TARGETS=(arena_test mvcc_test tuner_test tiered_store_test)
+ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test)
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_TARGETS+=(mvcc_stress_test tuner_stress_test tiered_stress_test)
 fi
 cmake -B build-asan -S . -DCINDERELLA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" --target "${ASAN_TARGETS[@]}"
-ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/arena_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/mvcc_test
-# Drain+reinsert batches recycle every drained row through the arena
-# pools; leak detection proves the daemon frees what it retires.
+# Drain+reinsert batches republish every drained row's partition; leak
+# detection proves the daemon frees what it retires.
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tuner_test
-# Spill/fault cycles move rows between arenas and page chains; leak
-# detection proves chains release their pages on last reference and the
-# out-of-core crash-recovery path frees every recovered version. The
-# CatalogCapture tests live here too: a capture's unpooled arena must
-# free itself on its last version's Unref.
+# Spill/fault cycles move rows between version buffers and page chains;
+# leak detection proves chains release their pages on last reference and
+# the out-of-core crash-recovery path frees every recovered version. The
+# CatalogCapture tests live here too: a capture must free every version
+# it built when it dies.
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_store_test
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_OPTIONS=detect_leaks=1 CINDERELLA_STRESS_READERS=4 \
