@@ -1,7 +1,7 @@
 // Microbench for the fused rating kernel and the thread-pool parallel
 // scan engine.
 //
-// Four experiments:
+// Three experiments:
 //  1. rating kernel: ns/op of the fused single-pass Synopsis::RateCounts
 //     against the three-pass baseline (IntersectCount + 2x AndNotCount)
 //     it replaced, across synopsis widths;
@@ -11,11 +11,7 @@
 //     (parallel placements must be bit-identical to serial);
 //  3. query scan: QueryExecutor::Execute throughput over the >=100k-row
 //     universal table at scan degrees {1, 2, 4}, with a metrics-identity
-//     check;
-//  4. synopsis tree: per-insert rating cost of the tree descent vs the
-//     flat scan at 1k/10k/100k/1M synthetic partitions, with the fraction
-//     of partitions inspected, the fraction of tree nodes pruned, and an
-//     argmax-identity check (tree placement == flat placement).
+//     check.
 //
 // Emits BENCH_rating.json (one trajectory point per run) next to the
 // binary's working directory, plus a human-readable table on stdout.
@@ -23,8 +19,7 @@
 // Knobs: CINDERELLA_BENCH_ENTITIES (default 100000),
 //        CINDERELLA_BENCH_KERNEL_BITS (default 65536),
 //        CINDERELLA_BENCH_TAIL_INSERTS (default 2000),
-//        CINDERELLA_BENCH_QUERY_REPS (default 5),
-//        CINDERELLA_BENCH_TREE_PARTITIONS (default 1000000; caps the sweep).
+//        CINDERELLA_BENCH_QUERY_REPS (default 5).
 
 #include <cinttypes>
 #include <cstdint>
@@ -44,7 +39,6 @@
 #include "query/executor.h"
 #include "query/query.h"
 #include "synopsis/synopsis.h"
-#include "synopsis/synopsis_tree.h"
 #include "workload/dbpedia_generator.h"
 
 namespace cinderella {
@@ -130,154 +124,6 @@ struct ScanPoint {
   bool identical = true;
 };
 
-struct TreeSweepPoint {
-  size_t partitions = 0;
-  double flat_ns = 0.0;        // Per-insert rating, full flat scan.
-  double tree_ns = 0.0;        // Per-insert rating, tree descent.
-  double speedup = 0.0;
-  double inspected_fraction = 0.0;  // Leaves rated / catalog size.
-  double pruned_node_fraction = 0.0;  // Tree nodes never visited.
-  bool identical = true;       // Tree argmax == flat argmax on every probe.
-};
-
-/// Tree-vs-flat rating sweep at a fixed catalog size. Synthetic synopses
-/// clustered into attribute families over contiguous id blocks (the shape
-/// splits produce: neighbors in id space share content), one probe per
-/// rep drawn from a random family. Both sides rate with the shared
-/// RateFromCounts arithmetic and the identical ascending-id strictly-
-/// greater argmax, so placements must match bit-for-bit.
-TreeSweepPoint TreeSweep(size_t num_partitions, int reps) {
-  constexpr size_t kFamilies = 64;
-  constexpr size_t kFamilyBits = 16;
-  constexpr double kWeight = 0.3;
-  Rng rng(29);
-
-  std::vector<Synopsis> parts;
-  std::vector<double> sizes;
-  parts.reserve(num_partitions);
-  sizes.reserve(num_partitions);
-  SynopsisTree tree(16);
-  for (size_t i = 0; i < num_partitions; ++i) {
-    const size_t family = i * kFamilies / num_partitions;
-    Synopsis s;
-    for (int b = 0; b < 4; ++b) {
-      s.Add(static_cast<AttributeId>(family * kFamilyBits +
-                                     rng.Uniform(kFamilyBits)));
-    }
-    tree.Upsert(i, s);
-    parts.push_back(std::move(s));
-    sizes.push_back(static_cast<double>(64 + i % 37));
-  }
-
-  std::vector<Synopsis> probes;
-  probes.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const size_t family = rng.Uniform(kFamilies);
-    Synopsis s;
-    for (int b = 0; b < 3; ++b) {
-      s.Add(static_cast<AttributeId>(family * kFamilyBits +
-                                     rng.Uniform(kFamilyBits)));
-    }
-    probes.push_back(std::move(s));
-  }
-
-  auto rate = [&](const Synopsis& probe, double probe_size, uint64_t id) {
-    const Synopsis::RatingCounts counts = probe.RateCounts(parts[id]);
-    return RateFromCounts(static_cast<double>(counts.intersect),
-                          static_cast<double>(counts.only_other),
-                          static_cast<double>(counts.only_this), probe_size,
-                          sizes[id], kWeight, /*normalize=*/true);
-  };
-
-  TreeSweepPoint point;
-  point.partitions = num_partitions;
-
-  // Flat: rate every partition, keep the strictly-best (lowest id ties).
-  std::vector<int64_t> flat_best(probes.size(), -1);
-  WallTimer timer;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    const double probe_size = static_cast<double>(probes[p].Count());
-    double best = 0.0;
-    int64_t best_id = -1;
-    for (size_t id = 0; id < num_partitions; ++id) {
-      const double rating = rate(probes[p], probe_size, id);
-      if (rating > best) {
-        best = rating;
-        best_id = static_cast<int64_t>(id);
-      }
-    }
-    flat_best[p] = best_id;
-  }
-  point.flat_ns = timer.ElapsedSeconds() * 1e9 / static_cast<double>(reps);
-
-  // Tree: descend only subtrees whose union intersects the probe. Every
-  // skipped leaf has zero overlap, hence a strictly negative rating at
-  // weight < 1, hence can never be the (non-negative) winner.
-  const SynopsisTreeSnapshot snap = tree.Share();
-  uint64_t inspected = 0;
-  std::vector<int64_t> tree_best(probes.size(), -1);
-  timer.Restart();
-  for (size_t p = 0; p < probes.size(); ++p) {
-    const double probe_size = static_cast<double>(probes[p].Count());
-    const std::vector<uint64_t>& words = probes[p].words();
-    double best = 0.0;
-    int64_t best_id = -1;
-    snap.ForEachCandidate(words.data(), words.size(), [&](uint64_t id) {
-      ++inspected;
-      const double rating = rate(probes[p], probe_size, id);
-      if (rating > best) {
-        best = rating;
-        best_id = static_cast<int64_t>(id);
-      }
-    });
-    tree_best[p] = best_id;
-  }
-  point.tree_ns = timer.ElapsedSeconds() * 1e9 / static_cast<double>(reps);
-  point.speedup = point.tree_ns > 0.0 ? point.flat_ns / point.tree_ns : 0.0;
-  point.inspected_fraction =
-      static_cast<double>(inspected) /
-      (static_cast<double>(reps) * static_cast<double>(num_partitions));
-  point.identical = flat_best == tree_best;
-
-  // Node-level pruning: fraction of tree nodes the average descent never
-  // visits (a visited node is one whose parent's union intersected).
-  uint64_t total_nodes = 0;
-  {
-    std::vector<const SynopsisTreeNode*> stack = {snap.root()};
-    while (!stack.empty()) {
-      const SynopsisTreeNode* node = stack.back();
-      stack.pop_back();
-      if (node == nullptr) continue;
-      ++total_nodes;
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-  }
-  uint64_t visited_nodes = 0;
-  for (const Synopsis& probe : probes) {
-    const std::vector<uint64_t>& words = probe.words();
-    std::vector<const SynopsisTreeNode*> stack = {snap.root()};
-    while (!stack.empty()) {
-      const SynopsisTreeNode* node = stack.back();
-      stack.pop_back();
-      if (node == nullptr) continue;
-      ++visited_nodes;
-      const std::vector<uint64_t>& set = node->set.words();
-      if (!SynopsisWordsIntersect(set.data(), set.size(), words.data(),
-                                  words.size())) {
-        continue;  // Pruned: none of its children are descended.
-      }
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-  }
-  if (total_nodes > 0) {
-    point.pruned_node_fraction =
-        1.0 - static_cast<double>(visited_nodes) /
-                  (static_cast<double>(probes.size()) *
-                   static_cast<double>(total_nodes));
-  }
-  return point;
-}
-
 }  // namespace
 }  // namespace cinderella
 
@@ -324,9 +170,6 @@ int main() {
     config.weight = 0.3;
     config.max_size = 500;  // ~hundreds of partitions at 100k entities.
     config.scan_threads = threads;
-    // This experiment measures the *flat* scan's thread scaling; the tree
-    // gets its own sweep below.
-    config.use_synopsis_tree = false;
     auto partitioner = std::move(Cinderella::Create(config)).value();
     for (const Row& row : rows) {
       if (!partitioner->Insert(Row(row)).ok()) return 1;
@@ -378,7 +221,7 @@ int main() {
   config.weight = 0.3;
   config.max_size = 500;
   config.scan_threads = 1;
-  config.use_synopsis_tree = false;  // Flat-scan baseline here too.
+  config.use_synopsis_tree = false;  // Flat query scan: no tree pruning.
   auto partitioner = std::move(Cinderella::Create(config)).value();
   for (const Row& row : rows) {
     if (!partitioner->Insert(Row(row)).ok()) return 1;
@@ -427,32 +270,6 @@ int main() {
                 point.identical ? "identical" : "MISMATCH");
   }
 
-  // ---- 4. Synopsis-tree descent vs flat rating scan. ----
-  PrintHeader("synopsis tree: rating descent vs flat scan");
-  const size_t tree_cap = static_cast<size_t>(
-      Int64FromEnv("CINDERELLA_BENCH_TREE_PARTITIONS", 1000000));
-  std::vector<size_t> tree_sizes;
-  for (size_t n : {size_t{1000}, size_t{10000}, size_t{100000},
-                   size_t{1000000}}) {
-    if (n <= tree_cap) tree_sizes.push_back(n);
-  }
-  if (tree_sizes.empty()) tree_sizes.push_back(tree_cap);
-  std::vector<TreeSweepPoint> tree_points;
-  for (size_t n : tree_sizes) {
-    tree_points.push_back(TreeSweep(n, /*reps=*/16));
-    const TreeSweepPoint& t = tree_points.back();
-    std::printf("  %8zu partitions: flat %10.0f ns/insert  tree %8.0f "
-                "ns/insert  speedup %6.1fx  inspected %5.2f%%  nodes pruned "
-                "%5.1f%%  %s\n",
-                t.partitions, t.flat_ns, t.tree_ns, t.speedup,
-                t.inspected_fraction * 100.0, t.pruned_node_fraction * 100.0,
-                t.identical ? "identical" : "MISMATCH");
-    if (!t.identical) {
-      std::fprintf(stderr, "FATAL: tree argmax disagrees with flat scan\n");
-      return 1;
-    }
-  }
-
   // ---- Trajectory point. ----
   FILE* json = std::fopen("BENCH_rating.json", "w");
   if (json == nullptr) {
@@ -489,19 +306,7 @@ int main() {
   write_points("insert_scan", insert_points);
   std::fprintf(json, ",\n");
   write_points("query_scan", query_points);
-  std::fprintf(json, ",\n  \"tree_sweep\": [");
-  for (size_t i = 0; i < tree_points.size(); ++i) {
-    const TreeSweepPoint& t = tree_points[i];
-    std::fprintf(json,
-                 "%s\n    {\"partitions\": %zu, \"flat_ns\": %.1f, "
-                 "\"tree_ns\": %.1f, \"speedup\": %.3f, "
-                 "\"inspected_fraction\": %.5f, "
-                 "\"pruned_node_fraction\": %.5f, \"identical\": %s}",
-                 i == 0 ? "" : ",", t.partitions, t.flat_ns, t.tree_ns,
-                 t.speedup, t.inspected_fraction, t.pruned_node_fraction,
-                 t.identical ? "true" : "false");
-  }
-  std::fprintf(json, "\n  ]\n}\n");
+  std::fprintf(json, "\n}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_rating.json\n");
   return 0;

@@ -42,7 +42,6 @@ Cinderella::Cinderella(CinderellaConfig config,
     : config_(config),
       catalog_(/*separate_rating_synopsis=*/workload != nullptr),
       workload_(std::move(workload)),
-      tree_(static_cast<size_t>(config.tree_fanout)),
       rng_(config.starter_seed) {
   extractor_ = workload_ != nullptr ? workload_->AsExtractor()
                                     : MakeEntityBasedExtractor();
@@ -158,33 +157,6 @@ Status Cinderella::VerifyIntegrity() const {
     return fail("binding count " + std::to_string(catalog_.entity_count()) +
                 " != resident rows " + std::to_string(resident_rows));
   }
-  if (config_.use_synopsis_tree) {
-    if (tree_.live_count() != catalog_.partition_count()) {
-      return fail("synopsis tree live count " +
-                  std::to_string(tree_.live_count()) + " != partition count " +
-                  std::to_string(catalog_.partition_count()));
-    }
-    std::string tree_error;
-    if (!tree_.CheckInvariants(&tree_error)) {
-      return fail("synopsis tree: " + tree_error);
-    }
-    Status tree_violation;
-    tree_.ForEachLeaf([&](uint64_t key, const Synopsis& leaf) {
-      if (!tree_violation.ok()) return;
-      const Partition* partition =
-          catalog_.GetPartition(static_cast<PartitionId>(key));
-      if (partition == nullptr) {
-        tree_violation =
-            fail("synopsis tree leaf for dead partition " + std::to_string(key));
-        return;
-      }
-      if (partition->rating_synopsis() != leaf) {
-        tree_violation = fail("synopsis tree leaf drift at partition " +
-                              std::to_string(key));
-      }
-    });
-    CINDERELLA_RETURN_IF_ERROR(tree_violation);
-  }
   return Status::OK();
 }
 
@@ -239,18 +211,9 @@ Status Cinderella::ReinsertResolved(Row row, const Synopsis& synopsis,
   return PlaceRow(std::move(row), synopsis, target, nullptr, 0);
 }
 
-void Cinderella::EndBulkRestore() {
-  bulk_restore_ = false;
-  if (!config_.use_synopsis_tree) return;
-  std::vector<std::pair<uint64_t, const Synopsis*>> leaves;
-  leaves.reserve(catalog_.partition_count());
-  catalog_.ForEachPartition([&](const Partition& partition) {
-    leaves.emplace_back(partition.id(), &partition.rating_synopsis());
-  });
-  tree_.BulkBuild(std::move(leaves));
-}
-
-Status Cinderella::RestorePartition(std::vector<Row> rows) {
+Status Cinderella::RestorePartition(std::vector<Row> rows,
+                                    std::optional<EntityId> starter_a,
+                                    std::optional<EntityId> starter_b) {
   ++catalog_generation_;
   if (rows.empty()) {
     return Status::InvalidArgument("cannot restore an empty partition");
@@ -268,11 +231,29 @@ Status Cinderella::RestorePartition(std::vector<Row> rows) {
                                    "in table");
     }
   }
+  for (const std::optional<EntityId>& starter : {starter_a, starter_b}) {
+    if (starter.has_value() && batch_ids.count(*starter) == 0) {
+      return Status::InvalidArgument("split starter " +
+                                     std::to_string(*starter) +
+                                     " is not a row of its partition");
+    }
+  }
+  if (starter_a.has_value() && starter_a == starter_b) {
+    return Status::InvalidArgument("duplicate split starter " +
+                                   std::to_string(*starter_a));
+  }
   Partition& partition = catalog_.CreatePartition();
   ++stats_.partitions_created;
   RecordCreated(partition.id());
   for (Row& row : rows) {
     const Synopsis synopsis = extractor_(row);
+    // A starter keeps the rating synopsis of its row, as at insert time.
+    if (row.id() == starter_a) {
+      partition.set_starter_a(Partition::Starter{row.id(), synopsis});
+    }
+    if (row.id() == starter_b) {
+      partition.set_starter_b(Partition::Starter{row.id(), synopsis});
+    }
     CINDERELLA_RETURN_IF_ERROR(
         AddRowToPartition(partition, std::move(row), synopsis));
     ++stats_.inserts;
@@ -346,11 +327,6 @@ Status Cinderella::AddRowToPartition(Partition& partition, Row row,
   catalog_.BindEntity(entity, partition.id());
   if (config_.use_synopsis_index) {
     for (AttributeId id : added) index_.AddPosting(id, partition.id());
-  }
-  if (config_.use_synopsis_tree && !bulk_restore_) {
-    tree_.Upsert(partition.id(), partition.rating_synopsis());
-  }
-  if (config_.use_synopsis_index || config_.use_synopsis_tree) {
     if (partition.rating_synopsis().Empty()) {
       empty_synopsis_partitions_.insert(partition.id());
     } else {
@@ -371,14 +347,6 @@ StatusOr<Row> Cinderella::RemoveRowFromPartition(Partition& partition,
   catalog_.UnbindEntity(entity);
   if (config_.use_synopsis_index) {
     for (AttributeId id : removed) index_.RemovePosting(id, partition.id());
-  }
-  if (config_.use_synopsis_tree) {
-    // An emptied partition is about to be dropped by the caller (which
-    // removes the leaf); upserting the now-empty synopsis keeps the leaf
-    // exact in the interim.
-    tree_.Upsert(partition.id(), partition.rating_synopsis());
-  }
-  if (config_.use_synopsis_index || config_.use_synopsis_tree) {
     if (partition.entity_count() > 0 && partition.rating_synopsis().Empty()) {
       empty_synopsis_partitions_.insert(partition.id());
     } else {
@@ -391,10 +359,6 @@ StatusOr<Row> Cinderella::RemoveRowFromPartition(Partition& partition,
 
 void Cinderella::DropEmptyPartition(Partition& partition) {
   CINDERELLA_DCHECK(partition.entity_count() == 0);
-  // Every drop path funnels here (deletes, dissolves, drains, and the
-  // split sweep), so the tree's zero-live subtree collapse rides every
-  // one of them.
-  if (config_.use_synopsis_tree) tree_.Remove(partition.id());
   empty_synopsis_partitions_.erase(partition.id());
   RecordDropped(partition.id());
   const Status status = catalog_.DropPartition(partition.id());
@@ -425,29 +389,6 @@ Cinderella::BestPartition Cinderella::FindBestPartition(
 
   if (restricted != nullptr) {
     for (PartitionId id : *restricted) {
-      Partition* partition = catalog_.GetPartition(id);
-      CINDERELLA_DCHECK(partition != nullptr);
-      consider(*partition);
-    }
-    return best;
-  }
-
-  // Tree descent (takes precedence over the inverted index): only
-  // subtrees whose union synopsis intersects the entity can contain a
-  // partition rating >= 0 (a non-overlapping, non-empty partition rates
-  // strictly negative while w < 1), so the restricted argmax equals the
-  // full scan's. Empty-synopsis partitions intersect nothing but rate
-  // exactly 0; they ride along from the side set, as with the index.
-  if (tree_enabled()) {
-    std::vector<PartitionId> candidates;
-    const std::vector<uint64_t>& qwords = synopsis.words();
-    tree_.ForEachCandidate(qwords.data(), qwords.size(), [&](uint64_t key) {
-      candidates.push_back(static_cast<PartitionId>(key));
-    });
-    for (PartitionId id : empty_synopsis_partitions_) candidates.push_back(id);
-    // Sort so ties keep the lowest id, matching the full scan order.
-    std::sort(candidates.begin(), candidates.end());
-    for (PartitionId id : candidates) {
       Partition* partition = catalog_.GetPartition(id);
       CINDERELLA_DCHECK(partition != nullptr);
       consider(*partition);
@@ -930,11 +871,6 @@ Status Cinderella::UpdateResolved(Row row, const Synopsis& new_synopsis,
     if (config_.use_synopsis_index) {
       for (AttributeId id : added) index_.AddPosting(id, current->id());
       for (AttributeId id : removed) index_.RemovePosting(id, current->id());
-    }
-    if (config_.use_synopsis_tree) {
-      tree_.Upsert(current->id(), current->rating_synopsis());
-    }
-    if (config_.use_synopsis_index || config_.use_synopsis_tree) {
       if (current->rating_synopsis().Empty()) {
         empty_synopsis_partitions_.insert(current->id());
       } else {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -20,7 +21,6 @@
 #include "storage/cold_tier.h"
 #include "storage/row.h"
 #include "synopsis/synopsis.h"
-#include "synopsis/synopsis_tree.h"
 
 namespace cinderella {
 
@@ -117,20 +117,6 @@ class Cinderella : public Partitioner {
   const CinderellaConfig& config() const { return config_; }
   const CinderellaStats& stats() const { return stats_; }
 
-  /// True when the insert-time rating may restrict its scan to the
-  /// synopsis tree's candidate set. At w == 1 every partition rates >= 0,
-  /// so the overlap-only descent would diverge from the full scan (the
-  /// same gate as the inverted index); the tree itself is still
-  /// maintained whenever use_synopsis_tree is set.
-  bool tree_enabled() const {
-    return config_.use_synopsis_tree && config_.weight < 1.0;
-  }
-
-  /// The catalog's synopsis tree (leaves keyed by partition id over the
-  /// rating synopses). Meaningful only with use_synopsis_tree; exposed
-  /// for stats reporting and the benches.
-  const SynopsisTree& synopsis_tree() const { return tree_; }
-
   /// Rating synopsis of a row under the active mode (attribute set, or
   /// relevant-query set in workload-based mode).
   Synopsis ExtractSynopsis(const Row& row) const { return extractor_(row); }
@@ -157,17 +143,15 @@ class Cinderella : public Partitioner {
 
   /// Snapshot support: materializes one partition with exactly `rows`,
   /// bypassing the rating (the placement was already decided when the
-  /// snapshot was taken). Fails on duplicate entity ids. Split starters
-  /// are re-seeded lazily on the next structural operation.
-  Status RestorePartition(std::vector<Row> rows);
-
-  /// Snapshot-load bracket: between Begin and End, incremental synopsis
-  /// tree maintenance is suppressed; End rebuilds the tree in one bulk
-  /// bottom-up pass over the restored catalog (the identical tree, at
-  /// O(total synopsis words) instead of one leaf upsert per row). The
-  /// loader wraps its RestorePartition loop in this.
-  void BeginBulkRestore() { bulk_restore_ = true; }
-  void EndBulkRestore();
+  /// snapshot was taken). Fails on duplicate entity ids. `starter_a` and
+  /// `starter_b` are the entity ids of the saved split starters (nullopt
+  /// for an empty slot); each must be a row of `rows` (InvalidArgument
+  /// otherwise), and its synopsis is re-derived from that row. Slots left
+  /// empty are re-seeded lazily on the next structural operation.
+  Status RestorePartition(
+      std::vector<Row> rows,
+      std::optional<EntityId> starter_a = std::nullopt,
+      std::optional<EntityId> starter_b = std::nullopt);
 
   /// The query set W of workload-based mode (empty in entity-based mode);
   /// snapshots persist it so a restored instance rates identically.
@@ -392,13 +376,9 @@ class Cinderella : public Partitioner {
   std::unique_ptr<WorkloadSynopsisBuilder> workload_;
   SynopsisExtractor extractor_;
   SynopsisIndex index_;
-  // Synopsis tree over the live partitions' rating synopses (leaf key =
-  // partition id); maintained by the row-movement helpers whenever
-  // use_synopsis_tree is set.
-  SynopsisTree tree_;
   // Live partitions whose rating synopsis is empty (entities without
-  // attributes); they have no postings / tree candidates but must stay
-  // rateable when the index or tree restricts the scan.
+  // attributes); they have no postings but must stay rateable when the
+  // index restricts the scan. Maintained only under use_synopsis_index.
   std::unordered_set<PartitionId> empty_synopsis_partitions_;
   CinderellaStats stats_;
   Rng rng_;
@@ -407,7 +387,6 @@ class Cinderella : public Partitioner {
   std::vector<CatalogMutations*> mutation_listeners_;
   BatchMutationEngine* batch_engine_ = nullptr;
   ColdTier* cold_tier_ = nullptr;
-  bool bulk_restore_ = false;  // Tree maintenance suppressed (snapshot load).
 };
 
 }  // namespace cinderella

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <type_traits>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -12,7 +13,9 @@ namespace cinderella {
 namespace {
 
 constexpr uint32_t kMagic = 0x434e4443;  // "CDNC"
-constexpr uint32_t kVersion = 1;
+// Version 2 adds each partition's split starters after its rows; version
+// 1 snapshots still load, with starters re-seeded lazily.
+constexpr uint32_t kVersion = 2;
 
 // -- primitive writers/readers ------------------------------------------------
 
@@ -155,6 +158,13 @@ Status SaveSnapshot(const Cinderella& partitioner,
           }
         });
     if (!streamed.ok()) row_error = streamed;
+    // Split starters: a present flag and the entity id per slot; the
+    // starter's synopsis follows from its row.
+    for (const std::optional<Partition::Starter>* starter :
+         {&partition.starter_a(), &partition.starter_b()}) {
+      WritePod<uint8_t>(out, starter->has_value() ? 1 : 0);
+      WritePod<uint64_t>(out, starter->has_value() ? (*starter)->entity : 0);
+    }
   });
   CINDERELLA_RETURN_IF_ERROR(row_error);
 
@@ -170,7 +180,7 @@ StatusOr<RestoredSnapshot> LoadSnapshot(std::istream& in) {
     return Status::InvalidArgument("not a Cinderella snapshot");
   }
   CINDERELLA_RETURN_IF_ERROR(ReadPod(in, &version));
-  if (version != kVersion) {
+  if (version != 1 && version != kVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version));
   }
@@ -227,9 +237,6 @@ StatusOr<RestoredSnapshot> LoadSnapshot(std::istream& in) {
 
   uint32_t partition_count = 0;
   CINDERELLA_RETURN_IF_ERROR(ReadPod(in, &partition_count));
-  // Bulk-restore bracket: per-row synopsis tree upserts are suppressed
-  // during the load and the tree is rebuilt bottom-up once at the end.
-  restored.partitioner->BeginBulkRestore();
   for (uint32_t p = 0; p < partition_count; ++p) {
     uint64_t row_count = 0;
     CINDERELLA_RETURN_IF_ERROR(ReadPod(in, &row_count));
@@ -251,10 +258,20 @@ StatusOr<RestoredSnapshot> LoadSnapshot(std::istream& in) {
       }
       rows.push_back(std::move(row));
     }
-    CINDERELLA_RETURN_IF_ERROR(
-        restored.partitioner->RestorePartition(std::move(rows)));
+    std::optional<EntityId> starters[2];
+    if (version >= 2) {
+      for (std::optional<EntityId>& starter : starters) {
+        uint8_t present = 0;
+        uint64_t entity = 0;
+        CINDERELLA_RETURN_IF_ERROR(ReadPod(in, &present));
+        CINDERELLA_RETURN_IF_ERROR(ReadPod(in, &entity));
+        if (present > 1) return Status::OutOfRange("corrupt starter flag");
+        if (present == 1) starter = entity;
+      }
+    }
+    CINDERELLA_RETURN_IF_ERROR(restored.partitioner->RestorePartition(
+        std::move(rows), starters[0], starters[1]));
   }
-  restored.partitioner->EndBulkRestore();
   return restored;
 }
 

@@ -19,13 +19,15 @@ struct RestoredSnapshot {
 };
 
 /// Serializes a Cinderella-partitioned table — configuration, workload
-/// (if workload-based), attribute dictionary, and every partition's rows —
-/// into a binary snapshot.
+/// (if workload-based), attribute dictionary, and every partition's rows
+/// and split starters — into a binary snapshot.
 ///
 /// The format is versioned and self-describing but not cross-endian
-/// (little-endian hosts only, like most embedded-store formats). Split
-/// starters are intentionally not persisted: they are a heuristic cache
-/// and are re-seeded lazily after a restore.
+/// (little-endian hosts only, like most embedded-store formats). Version 2
+/// persists each partition's split starters (entity ids; their synopses
+/// follow from the rows), so a restored table splits exactly as the saved
+/// one would have. The kRandom starter policy's RNG state is not
+/// persisted: after a restore that policy draws a different sequence.
 Status SaveSnapshot(const Cinderella& partitioner,
                     const AttributeDictionary& dictionary, std::ostream& out);
 
@@ -35,8 +37,11 @@ Status SaveSnapshotToFile(const Cinderella& partitioner,
                           const std::string& path);
 
 /// Restores a snapshot written by SaveSnapshot. The partitioning (which
-/// entity lives in which partition) is reproduced exactly; partition ids
-/// are re-densified in save order.
+/// entity lives in which partition), each partition's row order and its
+/// split starters are reproduced exactly; partition ids are re-densified
+/// in save order. A starter that is not a row of its partition fails the
+/// load. Version-1 snapshots (no starters) still load; their starters are
+/// re-seeded lazily on the next structural operation.
 StatusOr<RestoredSnapshot> LoadSnapshot(std::istream& in);
 
 /// File-path convenience overload.

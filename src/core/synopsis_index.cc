@@ -47,8 +47,10 @@ void SynopsisIndex::CollectCandidates(const Synopsis& ids,
   for (AttributeId id : ids.ToIds()) {
     if (id >= lists_.size()) continue;
     for (PartitionId partition : lists_[id].partitions) {
-      if (!IsLive(id, partition)) continue;
+      // The byte test first: a partition already collected through an
+      // earlier id skips the liveness lookup.
       if (candidate_seen_[partition]) continue;
+      if (!IsLive(id, partition)) continue;
       candidate_seen_[partition] = 1;
       candidates->push_back(partition);
     }

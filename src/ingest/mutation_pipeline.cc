@@ -42,9 +42,7 @@ MutationPipeline::MutationPipeline(Cinderella* cinderella,
       weight_(cinderella->config().weight),
       normalize_(cinderella->config().normalize_rating),
       measure_(cinderella->config().measure),
-      catalog_(ResolveShardCount(*cinderella, options),
-               /*enable_tree=*/cinderella->tree_enabled(),
-               static_cast<size_t>(cinderella->config().tree_fanout)) {
+      catalog_(ResolveShardCount(*cinderella, options)) {
   if (catalog_.shard_count() > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<int>(catalog_.shard_count()));
@@ -237,64 +235,46 @@ void MutationPipeline::ScanWindow(const Window& win, std::vector<Top2>* merged,
   auto scan_shard = [&](size_t s) {
     Top2* tops = slab.data() + s * num_groups;
     uint64_t local_rated = 0;
-    auto rate_one = [&](const ShardedCatalog::EntryView& entry, size_t g) {
-      const EntityGroup& group = win.groups[g];
-      const uint64_t* entity_words =
-          win.entity_arena.data() + group.words_offset;
-      const size_t common = std::min(win.stride, entry.num_words);
-      size_t intersect = 0;
-      for (size_t w = 0; w < common; ++w) {
-        intersect += static_cast<size_t>(
-            std::popcount(entity_words[w] & entry.words[w]));
-      }
-      ++local_rated;
-      const RatingTerms terms = RatingTermsFromCounts(
-          static_cast<double>(intersect),
-          static_cast<double>(entry.count - intersect),
-          static_cast<double>(group.count - intersect), group.size,
-          static_cast<double>(entry.size), weight_);
-      Top2& top = tops[g];
-      double r;
-      if (normalize_) {
-        // Skip the divide for a provably-losing candidate: local < 0
-        // requires a positive heterogeneity term, which needs both a
-        // positive size and a missing id — so the normalizer is
-        // positive too and r = local/normalizer < 0 strictly. A
-        // negative candidate cannot displace a non-negative best; it
-        // may understate the second slot, which the commit phase
-        // tolerates (DESIGN.md §8: an understated second is only
-        // consulted when every surviving candidate is negative, where
-        // serial also creates a new partition).
-        if (terms.local < 0.0 && top.best.valid && top.best.rating >= 0.0) {
-          return;
-        }
-        r = terms.normalizer > 0.0 ? terms.local / terms.normalizer : 0.0;
-      } else {
-        r = terms.local;
-      }
-      Offer(&top, r, entry.id);
-    };
-    if (catalog_.tree_enabled()) {
-      // Group-major tree descent: rate only the entries whose synopsis
-      // intersects the group (plus the empty-synopsis side list). Every
-      // skipped entry rates strictly negative (the same bound as the
-      // skip-divide shortcut above), so the merged top-2 keeps the exact
-      // argmax whenever it is >= 0 — the only case the commit phase
-      // consumes it.
+    catalog_.ScanShard(s, [&](const ShardedCatalog::EntryView& entry) {
       for (size_t g = 0; g < num_groups; ++g) {
+        const EntityGroup& group = win.groups[g];
         const uint64_t* entity_words =
-            win.entity_arena.data() + win.groups[g].words_offset;
-        catalog_.ScanShardCandidates(
-            s, entity_words, win.stride,
-            [&](const ShardedCatalog::EntryView& entry) {
-              rate_one(entry, g);
-            });
+            win.entity_arena.data() + group.words_offset;
+        const size_t common = std::min(win.stride, entry.num_words);
+        size_t intersect = 0;
+        for (size_t w = 0; w < common; ++w) {
+          intersect += static_cast<size_t>(
+              std::popcount(entity_words[w] & entry.words[w]));
+        }
+        ++local_rated;
+        const RatingTerms terms = RatingTermsFromCounts(
+            static_cast<double>(intersect),
+            static_cast<double>(entry.count - intersect),
+            static_cast<double>(group.count - intersect), group.size,
+            static_cast<double>(entry.size), weight_);
+        Top2& top = tops[g];
+        double r;
+        if (normalize_) {
+          // Skip the divide for a provably-losing candidate: local < 0
+          // requires a positive heterogeneity term, which needs both a
+          // positive size and a missing id — so the normalizer is
+          // positive too and r = local/normalizer < 0 strictly. A
+          // negative candidate cannot displace a non-negative best; it
+          // may understate the second slot, which the commit phase
+          // tolerates (DESIGN.md §8: an understated second is only
+          // consulted when every surviving candidate is negative, where
+          // serial also creates a new partition).
+          if (terms.local < 0.0 && top.best.valid &&
+              top.best.rating >= 0.0) {
+            continue;
+          }
+          r = terms.normalizer > 0.0 ? terms.local / terms.normalizer : 0.0;
+        } else {
+          r = terms.local;
+        }
+        Offer(&top, r, entry.id);
       }
-    } else {
-      catalog_.ScanShard(s, [&](const ShardedCatalog::EntryView& entry) {
-        for (size_t g = 0; g < num_groups; ++g) rate_one(entry, g);
-      });
-    }
+    });
     shard_ratings[s] = local_rated;
   };
   if (pool_ != nullptr) {

@@ -4,33 +4,12 @@
 
 namespace cinderella {
 
-ShardedCatalog::ShardedCatalog(size_t num_shards, bool enable_tree,
-                               size_t tree_fanout)
-    : tree_enabled_(enable_tree) {
+ShardedCatalog::ShardedCatalog(size_t num_shards) {
   CINDERELLA_CHECK(num_shards >= 1);
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    if (enable_tree) {
-      shards_.back()->tree = std::make_unique<SynopsisTree>(tree_fanout);
-    }
   }
-}
-
-SynopsisTree::Stats ShardedCatalog::TreeStats() const {
-  SynopsisTree::Stats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->tree == nullptr) continue;
-    const SynopsisTree::Stats& s = shard->tree->stats();
-    total.upserts += s.upserts;
-    total.removes += s.removes;
-    total.fast_merges += s.fast_merges;
-    total.node_reors += s.node_reors;
-    total.nodes_copied += s.nodes_copied;
-    total.collapses += s.collapses;
-  }
-  return total;
 }
 
 size_t ShardedCatalog::partition_count() const {
@@ -50,8 +29,6 @@ void ShardedCatalog::Clear() {
     shard->sizes.clear();
     shard->counts.clear();
     shard->arena.clear();
-    if (shard->tree != nullptr) shard->tree->Clear();
-    shard->empty_ids.clear();
   }
 }
 
@@ -97,18 +74,6 @@ void ShardedCatalog::Upsert(PartitionId id, uint64_t size,
   uint64_t* entry = shard.arena.data() + i * shard.words_per_entry;
   std::copy(words.begin(), words.end(), entry);
   std::fill(entry + words.size(), entry + shard.words_per_entry, 0);
-
-  if (shard.tree != nullptr) {
-    shard.tree->Upsert(id / shards_.size(), synopsis);
-    const auto eit =
-        std::lower_bound(shard.empty_ids.begin(), shard.empty_ids.end(), id);
-    const bool listed = eit != shard.empty_ids.end() && *eit == id;
-    if (synopsis.Count() == 0) {
-      if (!listed) shard.empty_ids.insert(eit, id);
-    } else if (listed) {
-      shard.empty_ids.erase(eit);
-    }
-  }
 }
 
 bool ShardedCatalog::Remove(PartitionId id) {
@@ -124,12 +89,6 @@ bool ShardedCatalog::Remove(PartitionId id) {
       shard.arena.begin() + static_cast<ptrdiff_t>(i * shard.words_per_entry),
       shard.arena.begin() +
           static_cast<ptrdiff_t>((i + 1) * shard.words_per_entry));
-  if (shard.tree != nullptr) {
-    shard.tree->Remove(id / shards_.size());
-    const auto eit =
-        std::lower_bound(shard.empty_ids.begin(), shard.empty_ids.end(), id);
-    if (eit != shard.empty_ids.end() && *eit == id) shard.empty_ids.erase(eit);
-  }
   return true;
 }
 

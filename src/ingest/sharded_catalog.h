@@ -9,7 +9,6 @@
 
 #include "core/partition.h"
 #include "synopsis/synopsis.h"
-#include "synopsis/synopsis_tree.h"
 
 namespace cinderella {
 
@@ -43,14 +42,7 @@ class ShardedCatalog {
     size_t num_words = 0;
   };
 
-  /// With `enable_tree` each shard additionally maintains a synopsis tree
-  /// over its entries (dense leaf key `id / shard_count` — within a shard
-  /// every id is congruent mod shard_count, so the keying is bijective
-  /// and the leaves pack densely). ScanShardCandidates then descends only
-  /// subtrees whose union intersects the probe. `tree_fanout` 0 resolves
-  /// from CINDERELLA_TREE_FANOUT.
-  explicit ShardedCatalog(size_t num_shards, bool enable_tree = false,
-                          size_t tree_fanout = 0);
+  explicit ShardedCatalog(size_t num_shards);
 
   ShardedCatalog(const ShardedCatalog&) = delete;
   ShardedCatalog& operator=(const ShardedCatalog&) = delete;
@@ -92,45 +84,6 @@ class ShardedCatalog {
     }
   }
 
-  /// True when per-shard synopsis trees are maintained (construction
-  /// flag).
-  bool tree_enabled() const { return tree_enabled_; }
-
-  /// Candidate-restricted form of ScanShard: invokes `fn(const
-  /// EntryView&)` under the shard mutex for (a) every entry whose
-  /// synopsis intersects the probe words — found by descending the
-  /// shard's tree — and (b) every empty-synopsis entry (they intersect
-  /// nothing but rate exactly 0 and must stay rateable). Entries skipped
-  /// by the descent rate strictly negative, so an argmax with a
-  /// rating-desc/id-asc comparator over these candidates equals the full
-  /// shard scan's whenever the winner rates >= 0. Requires tree_enabled();
-  /// emission order is candidates ascending, then empties ascending.
-  template <typename Fn>
-  void ScanShardCandidates(size_t shard_index, const uint64_t* probe_words,
-                           size_t num_probe_words, Fn&& fn) const {
-    const Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const size_t stride = shard.words_per_entry;
-    const uint64_t* words = shard.arena.data();
-    auto emit = [&](PartitionId id) {
-      const auto it = std::lower_bound(shard.ids.begin(), shard.ids.end(), id);
-      if (it == shard.ids.end() || *it != id) return;
-      const size_t i = static_cast<size_t>(it - shard.ids.begin());
-      fn(EntryView{shard.ids[i], shard.sizes[i], shard.counts[i],
-                   words + i * stride, stride});
-    };
-    const size_t shards = shards_.size();
-    shard.tree->ForEachCandidate(
-        probe_words, num_probe_words, [&](uint64_t key) {
-          emit(static_cast<PartitionId>(key * shards + shard_index));
-        });
-    for (PartitionId id : shard.empty_ids) emit(id);
-  }
-
-  /// Aggregated tree maintenance counters across all shards (zeros when
-  /// trees are disabled).
-  SynopsisTree::Stats TreeStats() const;
-
   /// Invokes `fn(const EntryView&)` for the entry of `id` under its
   /// shard's mutex; false if absent (fn not invoked).
   template <typename Fn>
@@ -156,18 +109,11 @@ class ShardedCatalog {
     std::vector<uint64_t> sizes;
     std::vector<uint32_t> counts;
     std::vector<uint64_t> arena;
-    // Synopsis tree over this shard's entries (leaf key = id /
-    // shard_count); null unless the catalog was built with enable_tree.
-    std::unique_ptr<SynopsisTree> tree;
-    // Entries whose synopsis is empty (count == 0), ascending: they have
-    // no tree candidacy but must ride along in ScanShardCandidates.
-    std::vector<PartitionId> empty_ids;
   };
 
   // unique_ptr slots: Shard holds a mutex and cannot move on vector
   // growth (the vector itself is fixed after construction anyway).
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool tree_enabled_ = false;
 };
 
 }  // namespace cinderella

@@ -31,9 +31,8 @@ VersionedTable::VersionedTable(Cinderella* table, BatchInserter* engine)
 void VersionedTable::Hook() {
   cinderella_->AddMutationListener(&pending_);
   if (cinderella_->config().use_synopsis_tree) {
-    // Unlike the insert-rating tree this one indexes *attribute* synopses
-    // (what queries probe), so it is useful at any rating weight — no
-    // weight < 1 gate.
+    // The tree indexes *attribute* synopses (what queries probe), so it
+    // is useful at any rating weight.
     query_tree_ = std::make_unique<SynopsisTree>(
         static_cast<size_t>(cinderella_->config().tree_fanout));
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -73,6 +74,7 @@ Status Coordinator::RefreshDigests() {
     Digest& cached = digests_[n];
     cached.valid = true;
     cached.generation = digest.generation;
+    cached.instance_id = digest.instance_id;
     cached.synopsis.Clear();
     cached.synopsis.UnionWithWords(digest.union_words.data(),
                                    digest.union_words.size());
@@ -80,11 +82,23 @@ Status Coordinator::RefreshDigests() {
   return first_error;
 }
 
-Status Coordinator::QueryOnce(const Endpoint& endpoint,
-                              const QueryRequestMsg& request,
+Status Coordinator::CheckInstance(size_t node, uint64_t instance_id) const {
+  const Digest& digest = digests_[node];
+  if (!digest.valid || digest.instance_id == instance_id) return Status::OK();
+  // Unavailable like a refused connection: the node this coordinator
+  // recorded is not the one listening at its address.
+  return Status::Unavailable(
+      "node " + std::to_string(node) + " answered as server instance " +
+      std::to_string(instance_id) + ", not the recorded instance " +
+      std::to_string(digest.instance_id) +
+      " (another server holds its port)");
+}
+
+Status Coordinator::QueryOnce(size_t node, const QueryRequestMsg& request,
                               std::vector<Row>* rows,
                               QueryDoneMsg* done) const {
   rows->clear();
+  const Endpoint& endpoint = nodes_[node];
   StatusOr<Socket> conn =
       Socket::Connect(endpoint.host, endpoint.port, options_.timeout_ms);
   CINDERELLA_RETURN_IF_ERROR(conn.status());
@@ -118,7 +132,7 @@ Status Coordinator::QueryOnce(const Endpoint& endpoint,
         if (done->batches != expected_sequence) {
           return Status::InvalidArgument("dropped row batch in response");
         }
-        return Status::OK();
+        return CheckInstance(node, done->instance_id);
       }
       case FrameType::kError: {
         ErrorMsg error;
@@ -131,15 +145,14 @@ Status Coordinator::QueryOnce(const Endpoint& endpoint,
   }
 }
 
-void Coordinator::QueryNode(const Endpoint& endpoint,
-                            const QueryRequestMsg& request,
+void Coordinator::QueryNode(size_t node, const QueryRequestMsg& request,
                             NodeResponse* response) const {
   const auto start = Clock::now();
   int backoff = options_.backoff_ms;
   for (int attempt = 0; attempt <= options_.retries; ++attempt) {
     response->attempts = attempt + 1;
     response->status =
-        QueryOnce(endpoint, request, &response->rows, &response->done);
+        QueryOnce(node, request, &response->rows, &response->done);
     if (response->status.ok() || !Retryable(response->status)) break;
     if (attempt < options_.retries && backoff > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
@@ -182,9 +195,8 @@ GatherResult Coordinator::Execute(const Query& query) {
   std::vector<std::thread> clients;
   clients.reserve(contacted.size());
   for (size_t i = 0; i < contacted.size(); ++i) {
-    clients.emplace_back(&Coordinator::QueryNode, this,
-                         std::cref(nodes_[contacted[i]]), std::cref(request),
-                         &responses[i]);
+    clients.emplace_back(&Coordinator::QueryNode, this, contacted[i],
+                         std::cref(request), &responses[i]);
   }
   for (std::thread& client : clients) client.join();
 
@@ -243,6 +255,7 @@ StatusOr<NodeStatsMsg> Coordinator::FetchStats(size_t node) const {
   }
   NodeStatsMsg stats;
   CINDERELLA_RETURN_IF_ERROR(DecodeNodeStats(frame.payload, &stats));
+  CINDERELLA_RETURN_IF_ERROR(CheckInstance(node, stats.instance_id));
   return stats;
 }
 

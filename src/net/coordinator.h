@@ -100,15 +100,20 @@ class Coordinator {
   explicit Coordinator(std::vector<Endpoint> nodes,
                        CoordinatorOptions options = CoordinatorOptions());
 
-  /// Fetches and caches every node's synopsis digest. A node that cannot
-  /// be reached keeps its previous digest (or stays unpruned); the first
-  /// error is returned but the refresh still visits every node.
+  /// Fetches and caches every node's synopsis digest and records the
+  /// server instance id it came from. A node that cannot be reached keeps
+  /// its previous digest (or stays unpruned); the first error is returned
+  /// but the refresh still visits every node.
   Status RefreshDigests();
 
-  /// Scatter/gather execution of an attribute-set query.
+  /// Scatter/gather execution of an attribute-set query. A node whose
+  /// response carries another instance id than the one RefreshDigests
+  /// recorded for it (another server now holds its port) counts as
+  /// failed, and none of its rows are merged.
   GatherResult Execute(const Query& query);
 
-  /// One node's stats frame (the CLI's per-node section).
+  /// One node's stats frame (the CLI's per-node section); fails the same
+  /// way on an instance id mismatch.
   StatusOr<NodeStatsMsg> FetchStats(size_t node) const;
 
   /// Round-trip liveness probe.
@@ -125,6 +130,7 @@ class Coordinator {
     bool valid = false;
     Synopsis synopsis;
     uint64_t generation = 0;
+    uint64_t instance_id = 0;
   };
 
   struct NodeResponse {
@@ -135,14 +141,18 @@ class Coordinator {
     QueryDoneMsg done;
   };
 
-  /// One query attempt against one endpoint: connect, send, drain the
-  /// streamed response.
-  Status QueryOnce(const Endpoint& endpoint, const QueryRequestMsg& request,
+  /// One query attempt against node `node`: connect, send, drain the
+  /// streamed response, check the answering instance.
+  Status QueryOnce(size_t node, const QueryRequestMsg& request,
                    std::vector<Row>* rows, QueryDoneMsg* done) const;
 
   /// Full per-node client: attempts with backoff, fills `*response`.
-  void QueryNode(const Endpoint& endpoint, const QueryRequestMsg& request,
+  void QueryNode(size_t node, const QueryRequestMsg& request,
                  NodeResponse* response) const;
+
+  /// Unavailable when `instance_id` is not the one recorded for `node`
+  /// (no check before its first digest).
+  Status CheckInstance(size_t node, uint64_t instance_id) const;
 
   std::vector<Endpoint> nodes_;
   CoordinatorOptions options_;

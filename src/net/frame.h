@@ -39,7 +39,9 @@ constexpr uint8_t kMaxFrameType = static_cast<uint8_t>(FrameType::kError);
 constexpr uint32_t kFrameMagic = 0x444E4943u;
 
 /// Bumped on any incompatible layout change; both sides must match.
-constexpr uint8_t kWireVersion = 1;
+/// Version 2 added the server instance id to the digest, query-done and
+/// stats payloads (net/protocol.h).
+constexpr uint8_t kWireVersion = 2;
 
 /// Hard cap on one frame's payload. Row batches are sliced well below
 /// this (node_server.h); the cap exists so a corrupt length field can

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <random>
 #include <utility>
 
 #include "common/env.h"
@@ -39,6 +40,10 @@ Status NodeServer::Start() {
   CINDERELLA_RETURN_IF_ERROR(listener.status());
   listener_ = std::move(*listener);
   port_ = listener_.local_port();
+  std::random_device entropy;
+  do {
+    instance_id_ = (static_cast<uint64_t>(entropy()) << 32) ^ entropy();
+  } while (instance_id_ == 0);
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread(&NodeServer::AcceptLoop, this);
@@ -176,6 +181,7 @@ Status NodeServer::HandleQuery(Socket* conn, const Frame& frame) {
 
   QueryDoneMsg done;
   done.request_id = request.request_id;
+  done.instance_id = instance_id_;
   done.batches = batches;
   done.partitions_total = result.metrics.partitions_total;
   done.partitions_scanned = result.metrics.partitions_scanned;
@@ -196,6 +202,7 @@ Status NodeServer::HandleSynopsis(Socket* conn) {
   const VersionedTable::Snapshot snapshot = table_->snapshot();
   const CatalogView& view = snapshot.view();
   SynopsisDigestMsg digest;
+  digest.instance_id = instance_id_;
   digest.generation = view.generation();
   digest.partitions = view.partition_count();
   digest.entities = view.entity_count();
@@ -208,6 +215,7 @@ Status NodeServer::HandleStats(Socket* conn) {
   const VersionedTable::Snapshot snapshot = table_->snapshot();
   const CatalogView& view = snapshot.view();
   NodeStatsMsg stats;
+  stats.instance_id = instance_id_;
   stats.generation = view.generation();
   stats.partitions = view.partition_count();
   stats.entities = view.entity_count();

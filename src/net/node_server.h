@@ -70,8 +70,9 @@ class NodeServer {
   NodeServer(const NodeServer&) = delete;
   NodeServer& operator=(const NodeServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor and workers. Fails (without
-  /// leaking threads) when the port is taken.
+  /// Binds, listens, and spawns the acceptor and workers, and draws a
+  /// fresh random instance id. Fails (without leaking threads) when the
+  /// port is taken.
   Status Start();
 
   /// Stops accepting, drains the workers, closes the listener. Safe to
@@ -108,6 +109,10 @@ class NodeServer {
 
   Socket listener_;
   uint16_t port_ = 0;
+  // Nonzero random id drawn by Start(), sent with every digest, query-done
+  // and stats frame so a coordinator can tell this server from any other
+  // that later serves the same port.
+  uint64_t instance_id_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::thread acceptor_;

@@ -142,6 +142,7 @@ Status DecodeRowBatch(std::string_view payload, RowBatchMsg* msg) {
 std::string EncodeQueryDone(const QueryDoneMsg& msg) {
   std::string out;
   WirePod<uint64_t>(&out, msg.request_id);
+  WirePod<uint64_t>(&out, msg.instance_id);
   WirePod<uint32_t>(&out, msg.batches);
   WirePod<uint64_t>(&out, msg.partitions_total);
   WirePod<uint64_t>(&out, msg.partitions_scanned);
@@ -154,7 +155,8 @@ std::string EncodeQueryDone(const QueryDoneMsg& msg) {
 
 Status DecodeQueryDone(std::string_view payload, QueryDoneMsg* msg) {
   WireReader reader(payload);
-  if (!reader.Read(&msg->request_id) || !reader.Read(&msg->batches) ||
+  if (!reader.Read(&msg->request_id) || !reader.Read(&msg->instance_id) ||
+      !reader.Read(&msg->batches) ||
       !reader.Read(&msg->partitions_total) ||
       !reader.Read(&msg->partitions_scanned) ||
       !reader.Read(&msg->partitions_pruned) ||
@@ -169,6 +171,7 @@ Status DecodeQueryDone(std::string_view payload, QueryDoneMsg* msg) {
 
 std::string EncodeSynopsisDigest(const SynopsisDigestMsg& msg) {
   std::string out;
+  WirePod<uint64_t>(&out, msg.instance_id);
   WirePod<uint64_t>(&out, msg.generation);
   WirePod<uint64_t>(&out, msg.partitions);
   WirePod<uint64_t>(&out, msg.entities);
@@ -180,7 +183,8 @@ std::string EncodeSynopsisDigest(const SynopsisDigestMsg& msg) {
 Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg) {
   WireReader reader(payload);
   uint32_t words = 0;
-  if (!reader.Read(&msg->generation) || !reader.Read(&msg->partitions) ||
+  if (!reader.Read(&msg->instance_id) || !reader.Read(&msg->generation) ||
+      !reader.Read(&msg->partitions) ||
       !reader.Read(&msg->entities) || !reader.Read(&words) ||
       words > kMaxSynopsisWords) {
     return Corrupt("synopsis digest");
@@ -200,6 +204,7 @@ Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg) {
 
 std::string EncodeNodeStats(const NodeStatsMsg& msg) {
   std::string out;
+  WirePod<uint64_t>(&out, msg.instance_id);
   WirePod<uint64_t>(&out, msg.generation);
   WirePod<uint64_t>(&out, msg.partitions);
   WirePod<uint64_t>(&out, msg.entities);
@@ -211,8 +216,9 @@ std::string EncodeNodeStats(const NodeStatsMsg& msg) {
 
 Status DecodeNodeStats(std::string_view payload, NodeStatsMsg* msg) {
   WireReader reader(payload);
-  if (!reader.Read(&msg->generation) || !reader.Read(&msg->partitions) ||
-      !reader.Read(&msg->entities) || !reader.Read(&msg->bytes) ||
+  if (!reader.Read(&msg->instance_id) || !reader.Read(&msg->generation) ||
+      !reader.Read(&msg->partitions) || !reader.Read(&msg->entities) ||
+      !reader.Read(&msg->bytes) ||
       !reader.Read(&msg->queries_served) || !reader.Read(&msg->rows_shipped) ||
       !reader.done()) {
     return Corrupt("node stats");

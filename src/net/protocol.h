@@ -38,8 +38,12 @@ struct RowBatchMsg {
 
 /// kQueryDone: terminates a query response with the node's measured scan
 /// counters and the number of row batches that preceded it.
+/// `instance_id` is the answering server's (see SynopsisDigestMsg); the
+/// coordinator merges no row of a response whose id differs from the one
+/// it recorded for that node.
 struct QueryDoneMsg {
   uint64_t request_id = 0;
+  uint64_t instance_id = 0;
   uint32_t batches = 0;
   uint64_t partitions_total = 0;
   uint64_t partitions_scanned = 0;
@@ -53,8 +57,11 @@ struct QueryDoneMsg {
 /// every partition it hosts at `generation`, plus per-partition count.
 /// The coordinator caches this and skips contacting the node entirely
 /// when a query's synopsis misses the union (Definition 1 lifted to
-/// nodes).
+/// nodes). `instance_id` is the random id the NodeServer drew when it
+/// started: a server restarted on the same port, or another server handed
+/// the port, answers with a different id.
 struct SynopsisDigestMsg {
+  uint64_t instance_id = 0;
   uint64_t generation = 0;
   uint64_t partitions = 0;
   uint64_t entities = 0;
@@ -62,8 +69,10 @@ struct SynopsisDigestMsg {
 };
 
 /// kStatsResponse: static load and service counters of one node, the
-/// per-node section of `cinderella_cli stats`.
+/// per-node section of `cinderella_cli stats`, from the server instance
+/// `instance_id`.
 struct NodeStatsMsg {
+  uint64_t instance_id = 0;
   uint64_t generation = 0;
   uint64_t partitions = 0;
   uint64_t entities = 0;

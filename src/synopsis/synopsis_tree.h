@@ -122,8 +122,8 @@ class SynopsisTreeSnapshot {
 /// Fixed-fanout synopsis tree over the partition-id key space (the
 /// JanusAQP partition-tree idea applied to Cinderella synopses): leaves
 /// are partitions, internal nodes hold the word-wise OR of their live
-/// leaves, so insert-time rating and query-time pruning descend only
-/// subtrees whose union can still intersect the probe. The tree is
+/// leaves, so query-time pruning descends only subtrees whose union can
+/// still intersect the probe. The tree is
 /// *implicit* in the key: a node at height h covers fanout^h consecutive
 /// keys and key k lives under child (k / fanout^(h-1)) % fanout, so no
 /// per-node key ranges are stored and a leaf's key is recomputed from the
@@ -135,8 +135,8 @@ class SynopsisTreeSnapshot {
 /// the writer keeps amortized O(fanout · height) per update.
 ///
 /// Thread-safety: none. Callers serialize mutations and Share() under
-/// their own lock (the core catalog mutation lock, a shard mutex, or the
-/// MVCC publish lock); snapshot *reads* are lock-free by construction.
+/// their own lock (VersionedTable's publish lock); snapshot *reads* are
+/// lock-free by construction.
 class SynopsisTree {
  public:
   struct Stats {
@@ -180,9 +180,6 @@ class SynopsisTree {
   /// use this.
   void BulkBuild(std::vector<std::pair<uint64_t, const Synopsis*>> leaves);
 
-  /// Drops every leaf and resets to the empty state. Counters survive.
-  void Clear();
-
   /// Current root as an immutable snapshot (see SynopsisTreeSnapshot).
   SynopsisTreeSnapshot Share();
 
@@ -201,20 +198,6 @@ class SynopsisTree {
     return root_ ? &root_->set : nullptr;
   }
 
-  /// Candidate descent over the live tree (same contract as the snapshot
-  /// form). Only safe while no mutation is concurrent.
-  template <typename Fn>
-  void ForEachCandidate(const uint64_t* qwords, size_t qn, Fn&& fn) const {
-    SynopsisTreeSnapshot(root_, fanout_, height_, live_count())
-        .ForEachCandidate(qwords, qn, fn);
-  }
-
-  template <typename Fn>
-  void ForEachLeaf(Fn&& fn) const {
-    SynopsisTreeSnapshot(root_, fanout_, height_, live_count())
-        .ForEachLeaf(fn);
-  }
-
   /// Verifies the structural invariants — live counts sum bottom-up, no
   /// zero-live or all-null internal node survives, every internal set is
   /// exactly the OR of its children. Returns false and fills `*error`
@@ -223,6 +206,9 @@ class SynopsisTree {
 
  private:
   using NodePtr = std::shared_ptr<SynopsisTreeNode>;
+
+  /// Drops every leaf and resets to the empty state. Counters survive.
+  void Clear();
 
   /// Capacity of the current root: fanout_^height_ keys (saturating).
   uint64_t Capacity() const;

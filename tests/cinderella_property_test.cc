@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -16,6 +17,25 @@
 #include "core/cinderella.h"
 
 namespace cinderella {
+
+const char* StarterPolicyName(StarterPolicy policy) {
+  switch (policy) {
+    case StarterPolicy::kMaxDiffHeuristic:
+      return "maxdiff";
+    case StarterPolicy::kFirstTwo:
+      return "firsttwo";
+    case StarterPolicy::kRandom:
+      return "random";
+  }
+  return "unknown";
+}
+
+// gtest looks up a printer in the namespace of the printed type, so this
+// one cannot live in the anonymous namespace below.
+void PrintTo(StarterPolicy policy, std::ostream* os) {
+  *os << StarterPolicyName(policy);
+}
+
 namespace {
 
 Row RandomRow(EntityId id, Rng& rng, uint32_t attribute_space) {
@@ -117,14 +137,24 @@ struct PropertyParams {
   bool use_index;
 };
 
-std::string ParamName(const testing::TestParamInfo<PropertyParams>& info) {
+std::string ParamString(const PropertyParams& params) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "w%02d_B%llu_%s_%s",
-                static_cast<int>(info.param.weight * 10),
-                static_cast<unsigned long long>(info.param.max_size),
-                SizeMeasureToString(info.param.measure),
-                info.param.use_index ? "indexed" : "scan");
+                static_cast<int>(params.weight * 10),
+                static_cast<unsigned long long>(params.max_size),
+                SizeMeasureToString(params.measure),
+                params.use_index ? "indexed" : "scan");
   return buf;
+}
+
+std::string ParamName(const testing::TestParamInfo<PropertyParams>& info) {
+  return ParamString(info.param);
+}
+
+// Without a printer gtest dumps the parameter's bytes, and CTest carries
+// the dump in every test name.
+void PrintTo(const PropertyParams& params, std::ostream* os) {
+  *os << ParamString(params);
 }
 
 class CinderellaPropertyTest : public testing::TestWithParam<PropertyParams> {
@@ -303,15 +333,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(StarterPolicy::kMaxDiffHeuristic, StarterPolicy::kFirstTwo,
                     StarterPolicy::kRandom),
     [](const testing::TestParamInfo<StarterPolicy>& info) {
-      switch (info.param) {
-        case StarterPolicy::kMaxDiffHeuristic:
-          return "maxdiff";
-        case StarterPolicy::kFirstTwo:
-          return "firsttwo";
-        case StarterPolicy::kRandom:
-          return "random";
-      }
-      return "unknown";
+      return std::string(StarterPolicyName(info.param));
     });
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,9 @@ std::set<std::set<EntityId>> Grouping(const Cinderella& c) {
   std::set<std::set<EntityId>> groups;
   c.catalog().ForEachPartition([&](const Partition& p) {
     std::set<EntityId> members;
-    for (const Row& row : p.segment().rows()) members.insert(row.id());
+    EXPECT_TRUE(
+        c.ForEachRowOf(p, [&](const Row& row) { members.insert(row.id()); })
+            .ok());
     groups.insert(std::move(members));
   });
   return groups;
@@ -324,6 +327,97 @@ TEST(DurableTableTest, FailedOperationNotJournaled) {
   auto reopened = DurableTable::Open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->table().entity_count(), 1u);
+}
+
+// Split starters survive a checkpoint: a table closed after a checkpoint
+// and a journal tail, and reopened with the ingest pipeline and the cold
+// tier attached, goes on grouping rows exactly like a table never closed.
+TEST(DurableTableTest, ReopenedTableGroupsLikeAnUnclosedOne) {
+  auto options_for = [](const std::string& dir) {
+    DurableTable::Options options;
+    options.directory = dir;
+    options.config.weight = 0.3;
+    options.config.max_size = 12;
+    options.ingest.shards = 2;
+    options.ingest.window = 16;
+    options.spill.page_size = 1024;
+    options.spill.pool_frames = 4;
+    options.spill.budget_bytes = 4096;
+    options.spill.min_idle = 1;
+    return options;
+  };
+  // Batches of inserts, updates and deletes over three attribute families.
+  Rng rng(23);
+  std::vector<EntityId> live;
+  EntityId next = 0;
+  auto make = [&](EntityId id) {
+    Row row(id);
+    const AttributeId base = static_cast<AttributeId>(rng.Uniform(3) * 10);
+    const size_t attrs = 2 + rng.Uniform(5);
+    for (size_t a = 0; a < attrs; ++a) {
+      row.Set(base + static_cast<AttributeId>(rng.Uniform(8)),
+              Value(std::string(rng.Uniform(40), 'v')));
+    }
+    return row;
+  };
+  auto batch = [&]() {
+    std::vector<Mutation> ops;
+    std::set<EntityId> touched;
+    for (int i = 0; i < 64; ++i) {
+      const uint64_t pick = rng.Uniform(10);
+      if (live.size() < 40 || pick < 6) {
+        live.push_back(next);
+        ops.push_back(Mutation::Insert(make(next++)));
+        continue;
+      }
+      const size_t victim = rng.Uniform(live.size());
+      if (!touched.insert(live[victim]).second) continue;
+      if (pick < 8) {
+        ops.push_back(Mutation::Update(make(live[victim])));
+      } else {
+        ops.push_back(Mutation::Delete(live[victim]));
+        live[victim] = live.back();
+        live.pop_back();
+      }
+    }
+    return ops;
+  };
+
+  const DurableTable::Options closed_options =
+      options_for(FreshDir("durable_closed"));
+  auto unclosed = DurableTable::Open(options_for(FreshDir("durable_unclosed")));
+  ASSERT_TRUE(unclosed.ok()) << unclosed.status().ToString();
+  ASSERT_TRUE((*unclosed)->tiering_enabled());
+  uint64_t splits_at_reopen = 0;
+  {
+    auto closed = DurableTable::Open(closed_options);
+    ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+    for (int b = 0; b < 12; ++b) {
+      if (b == 10) {
+        ASSERT_TRUE((*closed)->Checkpoint().ok());
+      }
+      const std::vector<Mutation> ops = batch();
+      ASSERT_TRUE((*closed)->ApplyMutations(ops).ok());
+      ASSERT_TRUE((*unclosed)->ApplyMutations(ops).ok());
+    }
+    EXPECT_GT((*closed)->cinderella().stats().spills, 0u);
+    splits_at_reopen = (*unclosed)->cinderella().stats().splits;
+    ASSERT_GT(splits_at_reopen, 0u);
+  }
+  auto reopened = DurableTable::Open(closed_options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_GT((*reopened)->replayed_on_open(), 0u);
+  EXPECT_EQ(Grouping((*reopened)->cinderella()),
+            Grouping((*unclosed)->cinderella()));
+  for (int b = 0; b < 12; ++b) {
+    const std::vector<Mutation> ops = batch();
+    ASSERT_TRUE((*reopened)->ApplyMutations(ops).ok());
+    ASSERT_TRUE((*unclosed)->ApplyMutations(ops).ok());
+  }
+  EXPECT_GT((*unclosed)->cinderella().stats().splits, splits_at_reopen);
+  EXPECT_EQ(Grouping((*reopened)->cinderella()),
+            Grouping((*unclosed)->cinderella()));
+  EXPECT_TRUE((*reopened)->cinderella().VerifyIntegrity().ok());
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -77,13 +79,21 @@ std::vector<Row> MakeUpdates(const std::vector<Row>& base, size_t count,
 
 // -- Batched updates ----------------------------------------------------------
 
-// gtest prints the parameter as raw bytes and CTest carries them in the
-// test names. `shards` is as wide as `window` so the struct has no padding:
-// padding bytes are uninitialized, and the names changed from build to build.
 struct PipelineParam {
   size_t shards;
   size_t window;
 };
+
+std::string PipelineParamName(const PipelineParam& param) {
+  return "shards" + std::to_string(param.shards) + "_window" +
+         std::to_string(param.window);
+}
+
+// Without a printer gtest dumps the parameter's bytes, and CTest carries
+// the dump in every test name.
+void PrintTo(const PipelineParam& param, std::ostream* os) {
+  *os << PipelineParamName(param);
+}
 
 class PipelineDeterminismTest
     : public testing::TestWithParam<PipelineParam> {};
@@ -233,8 +243,7 @@ INSTANTIATE_TEST_SUITE_P(
                     PipelineParam{2, 7}, PipelineParam{4, 32},
                     PipelineParam{4, 128}),
     [](const testing::TestParamInfo<PipelineParam>& info) {
-      return "shards" + std::to_string(info.param.shards) + "_window" +
-             std::to_string(info.param.window);
+      return PipelineParamName(info.param);
     });
 
 // -- Validate-first -----------------------------------------------------------

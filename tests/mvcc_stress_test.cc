@@ -138,9 +138,7 @@ TEST(MvccStressTest, ReadersNeverObserveTornViews) {
   EXPECT_EQ(table.epochs().retired_count(), 0u);
 }
 
-// The name is from when publications shared pooled arenas; every version
-// now owns one buffer, and the allocator is what recycles the memory.
-TEST(MvccStressTest, PooledArenasAreNotReusedUnderPinnedReaders) {
+TEST(MvccStressTest, BuffersAreNotFreedUnderPinnedReaders) {
   // The reclamation hazard: a superseded version's buffer may only be
   // freed (and its memory handed to a later version by the allocator)
   // after every reader pinned at or before its retirement unpins.

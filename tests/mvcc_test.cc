@@ -421,9 +421,7 @@ size_t ViewBufferBytes(const CatalogView& view) {
   return bytes;
 }
 
-// The name is from when publications shared pooled arenas; every version
-// now owns one buffer, and the allocator is what recycles the memory.
-TEST(VersionedTableTest, SteadyStatePublicationRecyclesArenas) {
+TEST(VersionedTableTest, SteadyStatePublicationFreesSupersededBuffers) {
   VersionedTable table(MakePartitioner());
   ASSERT_TRUE(table.InsertBatch(MakeRows(0, 16)).ok());
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/cinderella.h"
 #include "mvcc/versioned_table.h"
 #include "net/loopback_cluster.h"
+#include "net/node_server.h"
 #include "query/executor.h"
 
 namespace cinderella {
@@ -194,6 +196,45 @@ TEST(NetClusterTest, KilledNodeYieldsTimelyPartialResult) {
     }
   }
   EXPECT_TRUE(found_failure);
+}
+
+// A server that takes over a stopped node's port is not that node: its
+// answers carry another instance id, so the gather counts the node as
+// failed and merges none of the other server's rows.
+TEST(NetClusterTest, ServerOnAStoppedNodesPortIsNotMerged) {
+  const std::vector<Row> rows = FamilyRows();
+  LoopbackCluster cluster(FastFailOptions(2));
+  ASSERT_TRUE(cluster.Load(rows).ok());
+  const uint16_t port = cluster.coordinator().endpoints()[1].port;
+  ASSERT_TRUE(cluster.StopNode(1).ok());
+
+  // It hosts rows that match the query, under ids the cluster never
+  // loaded.
+  VersionedTable other_table(
+      std::move(Cinderella::Create(SmallPartitions())).value());
+  std::vector<Row> other_rows;
+  for (EntityId id = 1000; id < 1010; ++id) {
+    other_rows.push_back(MakeRow(id, {0, 10, 20, 30}));
+  }
+  ASSERT_TRUE(other_table.InsertBatch(other_rows).ok());
+  NodeServerOptions server_options;
+  server_options.port = port;
+  server_options.threads = 1;
+  NodeServer other(&other_table, server_options);
+  ASSERT_TRUE(other.Start().ok());
+
+  const Query query(Synopsis{0, 10, 20, 30});
+  GatherResult result = cluster.coordinator().Execute(query);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.nodes_failed, 1u);
+  EXPECT_GT(result.rows.size(), 0u);
+  for (const Row& row : result.rows) EXPECT_LT(row.id(), 1000u);
+  ASSERT_EQ(result.nodes.size(), 2u);
+  EXPECT_TRUE(result.nodes[0].ok);
+  EXPECT_FALSE(result.nodes[1].ok);
+  EXPECT_NE(result.nodes[1].error.find("instance"), std::string::npos)
+      << result.nodes[1].error;
+  EXPECT_FALSE(cluster.coordinator().FetchStats(1).ok());
 }
 
 TEST(NetClusterTest, NodeStatsSumToTable) {

@@ -193,6 +193,7 @@ TEST(NetProtocolTest, RowBatchRoundTripBitExact) {
 TEST(NetProtocolTest, QueryDoneRoundTrip) {
   QueryDoneMsg msg;
   msg.request_id = 5;
+  msg.instance_id = 0x0123456789abcdefULL;
   msg.batches = 2;
   msg.partitions_total = 10;
   msg.partitions_scanned = 4;
@@ -202,6 +203,9 @@ TEST(NetProtocolTest, QueryDoneRoundTrip) {
   msg.cells_shipped = 642;
   QueryDoneMsg out;
   ASSERT_TRUE(DecodeQueryDone(EncodeQueryDone(msg), &out).ok());
+  EXPECT_EQ(out.request_id, 5u);
+  EXPECT_EQ(out.instance_id, 0x0123456789abcdefULL);
+  EXPECT_EQ(out.batches, 2u);
   EXPECT_EQ(out.partitions_pruned, 6u);
   EXPECT_EQ(out.rows_matched, 321u);
   EXPECT_EQ(out.cells_shipped, 642u);
@@ -209,18 +213,21 @@ TEST(NetProtocolTest, QueryDoneRoundTrip) {
 
 TEST(NetProtocolTest, SynopsisDigestRoundTrip) {
   SynopsisDigestMsg msg;
+  msg.instance_id = 0xfedcba9876543210ULL;
   msg.generation = 17;
   msg.partitions = 8;
   msg.entities = 4000;
   msg.union_words = {0xdeadbeefULL, 0x0, 0xffffULL};
   SynopsisDigestMsg out;
   ASSERT_TRUE(DecodeSynopsisDigest(EncodeSynopsisDigest(msg), &out).ok());
+  EXPECT_EQ(out.instance_id, 0xfedcba9876543210ULL);
   EXPECT_EQ(out.generation, 17u);
   EXPECT_EQ(out.union_words, msg.union_words);
 }
 
 TEST(NetProtocolTest, NodeStatsRoundTrip) {
   NodeStatsMsg msg;
+  msg.instance_id = 0x1122334455667788ULL;
   msg.generation = 3;
   msg.partitions = 12;
   msg.entities = 999;
@@ -229,6 +236,8 @@ TEST(NetProtocolTest, NodeStatsRoundTrip) {
   msg.rows_shipped = 888;
   NodeStatsMsg out;
   ASSERT_TRUE(DecodeNodeStats(EncodeNodeStats(msg), &out).ok());
+  EXPECT_EQ(out.instance_id, 0x1122334455667788ULL);
+  EXPECT_EQ(out.generation, 3u);
   EXPECT_EQ(out.bytes, 123456u);
   EXPECT_EQ(out.rows_shipped, 888u);
 }
@@ -251,7 +260,13 @@ TEST(NetProtocolTest, PayloadTruncationAtEveryByteFailsCleanly) {
   query.request_id = 2;
   query.attributes = {1, 2, 3};
   SynopsisDigestMsg digest;
+  digest.instance_id = 99;
   digest.union_words = {1, 2, 3};
+  QueryDoneMsg done;
+  done.request_id = 2;
+  done.instance_id = 98;
+  NodeStatsMsg stats;
+  stats.instance_id = 97;
 
   // Each decoder must reject every strict prefix of its own payload
   // outright (the trailing done() check means a torn payload can never
@@ -283,7 +298,7 @@ TEST(NetProtocolTest, PayloadTruncationAtEveryByteFailsCleanly) {
     QueryRequestMsg out;
     return DecodeQueryRequest(torn, &out).ok();
   });
-  fuzz_one(EncodeQueryDone(QueryDoneMsg{}), [](std::string_view torn) {
+  fuzz_one(EncodeQueryDone(done), [](std::string_view torn) {
     QueryDoneMsg out;
     return DecodeQueryDone(torn, &out).ok();
   });
@@ -291,7 +306,7 @@ TEST(NetProtocolTest, PayloadTruncationAtEveryByteFailsCleanly) {
     SynopsisDigestMsg out;
     return DecodeSynopsisDigest(torn, &out).ok();
   });
-  fuzz_one(EncodeNodeStats(NodeStatsMsg{}), [](std::string_view torn) {
+  fuzz_one(EncodeNodeStats(stats), [](std::string_view torn) {
     NodeStatsMsg out;
     return DecodeNodeStats(torn, &out).ok();
   });
@@ -320,6 +335,60 @@ TEST(NetProtocolTest, RandomBitFlipsNeverCrashDecoders) {
     // over-read" under ASan/UBSan.
     (void)DecodeRowBatch(corrupted, &out);
   }
+}
+
+// Every single-bit flip of a payload that carries a server instance id
+// decodes cleanly or fails cleanly, and a flip inside the id field
+// decodes to another id, which the coordinator then refuses.
+TEST(NetProtocolTest, InstanceIdBitFlipsNeverCrashAndChangeTheId) {
+  constexpr uint64_t kInstance = 0x0f1e2d3c4b5a6978ULL;
+  QueryDoneMsg done;
+  done.request_id = 3;
+  done.instance_id = kInstance;
+  SynopsisDigestMsg digest;
+  digest.instance_id = kInstance;
+  digest.union_words = {7, 8};
+  NodeStatsMsg stats;
+  stats.instance_id = kInstance;
+
+  // Byte offset of the id in each payload: after the request id in
+  // kQueryDone, first in the other two.
+  const auto flip_each_bit = [&](const std::string& pristine,
+                                 size_t id_offset, const auto& decode_id) {
+    for (size_t byte = 0; byte < pristine.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string corrupted = pristine;
+        corrupted[byte] ^= static_cast<char>(1 << bit);
+        uint64_t id = 0;
+        const bool ok = decode_id(corrupted, &id);
+        if (byte >= id_offset && byte < id_offset + sizeof(uint64_t)) {
+          ASSERT_TRUE(ok) << "byte " << byte << " bit " << bit;
+          EXPECT_NE(id, kInstance) << "byte " << byte << " bit " << bit;
+        }
+      }
+    }
+  };
+  flip_each_bit(EncodeQueryDone(done), sizeof(uint64_t),
+                [](std::string_view bytes, uint64_t* id) {
+                  QueryDoneMsg out;
+                  const bool ok = DecodeQueryDone(bytes, &out).ok();
+                  *id = out.instance_id;
+                  return ok;
+                });
+  flip_each_bit(EncodeSynopsisDigest(digest), 0,
+                [](std::string_view bytes, uint64_t* id) {
+                  SynopsisDigestMsg out;
+                  const bool ok = DecodeSynopsisDigest(bytes, &out).ok();
+                  *id = out.instance_id;
+                  return ok;
+                });
+  flip_each_bit(EncodeNodeStats(stats), 0,
+                [](std::string_view bytes, uint64_t* id) {
+                  NodeStatsMsg out;
+                  const bool ok = DecodeNodeStats(bytes, &out).ok();
+                  *id = out.instance_id;
+                  return ok;
+                });
 }
 
 }  // namespace

@@ -86,11 +86,6 @@ std::unique_ptr<Cinderella> BuildWithThreads(int scan_threads) {
   config.weight = 0.4;
   config.max_size = 8;
   config.scan_threads = scan_threads;
-  // The synopsis tree would shrink the candidate set below the 128-
-  // partition threshold this test needs; keep the flat parallel scan
-  // under test (tree-vs-flat equivalence is covered by
-  // synopsis_tree_test).
-  config.use_synopsis_tree = false;
   auto created = Cinderella::Create(config);
   EXPECT_TRUE(created.ok());
   auto c = std::move(created).value();

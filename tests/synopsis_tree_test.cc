@@ -36,12 +36,11 @@ Synopsis MakeSynopsis(std::initializer_list<AttributeId> attrs) {
   return synopsis;
 }
 
-std::vector<uint64_t> Candidates(const SynopsisTree& tree,
-                                 const Synopsis& probe) {
+std::vector<uint64_t> Candidates(SynopsisTree& tree, const Synopsis& probe) {
   std::vector<uint64_t> keys;
   const std::vector<uint64_t>& words = probe.words();
-  tree.ForEachCandidate(words.data(), words.size(),
-                        [&](uint64_t key) { keys.push_back(key); });
+  tree.Share().ForEachCandidate(words.data(), words.size(),
+                                [&](uint64_t key) { keys.push_back(key); });
   return keys;
 }
 
@@ -66,7 +65,7 @@ TEST(SynopsisTreeTest, UpsertRemoveRoundTrip) {
 
   // Leaves come back in ascending key order with their exact sets.
   std::vector<uint64_t> keys;
-  tree.ForEachLeaf([&](uint64_t key, const Synopsis& set) {
+  tree.Share().ForEachLeaf([&](uint64_t key, const Synopsis& set) {
     keys.push_back(key);
     if (key == 5) {
       EXPECT_TRUE(set.Contains(64));
@@ -158,7 +157,8 @@ TEST(SynopsisTreeTest, RemoveCollapsesEmptiedSubtrees) {
   EXPECT_EQ(tree.live_count(), 48u);
   EXPECT_GT(tree.stats().collapses, 0u);
   std::vector<uint64_t> keys;
-  tree.ForEachLeaf([&](uint64_t key, const Synopsis&) { keys.push_back(key); });
+  tree.Share().ForEachLeaf(
+      [&](uint64_t key, const Synopsis&) { keys.push_back(key); });
   for (uint64_t key : keys) {
     EXPECT_TRUE(key < 16 || key >= 32) << key;
   }
@@ -291,11 +291,11 @@ void PrintTo(const TreeParam& param, std::ostream* os) {
 
 class TreeEquivalenceTest : public testing::TestWithParam<TreeParam> {};
 
-// The tentpole property: a tree-enabled table and a flat table fed the
-// same mutation stream (inserts, updates, deletes, reorganize — i.e.
-// split/merge/evict churn) are indistinguishable in placements, stats,
-// query results, scan metrics, and estimator outputs; only the number of
-// partitions *inspected* differs.
+// A tree-enabled table and a flat table fed the same mutation stream
+// (inserts, updates, deletes, reorganize — i.e. split/merge/evict churn)
+// are indistinguishable in placements, stats, query results, scan
+// metrics, and estimator outputs; only the number of partitions the
+// query path *inspects* differs.
 TEST_P(TreeEquivalenceTest, TreeMatchesFlatUnderChurn) {
   const TreeParam param = GetParam();
   AttributeDictionary dictionary;
@@ -331,12 +331,6 @@ TEST_P(TreeEquivalenceTest, TreeMatchesFlatUnderChurn) {
   EXPECT_EQ(treed->stats().partitions_dissolved,
             flat->stats().partitions_dissolved);
   EXPECT_EQ(treed->stats().partitions_created, flat->stats().partitions_created);
-
-  // The tree actually carries the catalog: one leaf per partition, each
-  // holding that partition's exact rating synopsis (VerifyIntegrity
-  // rechecks this; assert the headline counter here too).
-  EXPECT_EQ(treed->synopsis_tree().live_count(),
-            treed->catalog().partition_count());
 
   // Query results and metrics over published MVCC views are identical —
   // the tree-pruned executor path only skips partitions the flat path
@@ -426,16 +420,17 @@ TEST(TreeEquivalenceTest, ObserverSeesIdenticalTouchStreams) {
   }
 }
 
-// Satellite 6 regression at the system level: drive churn that empties
-// whole partitions (the split sweep and DeleteBatch drains funnel through
-// DropEmptyPartition) and verify the tree never retains a dropped leaf or
-// an uncollapsed empty subtree. VerifyIntegrity walks every leaf against
-// the catalog.
+// Churn that empties whole partitions (split sweeps and DeleteBatch
+// drains) must leave the published query tree with exactly one leaf per
+// partition and no uncollapsed empty subtree.
 TEST(TreeChurnTest, SplitAndDrainChurnKeepsTreeExact) {
   AttributeDictionary dictionary;
   const std::vector<Row> base = TestRows(400, &dictionary, 9);
-  auto table = std::move(Cinderella::Create(ChurnConfig(true))).value();
-  for (const Row& row : base) ASSERT_TRUE(table->Insert(row).ok());
+  VersionedTable::Options options;
+  options.batched_ingest = false;
+  VersionedTable table(
+      std::move(Cinderella::Create(ChurnConfig(true))).value(), options);
+  for (const Row& row : base) ASSERT_TRUE(table.Insert(row).ok());
 
   // Delete in id-striped waves so partitions drain at different times,
   // reinserting some victims between waves (fresh partition ids force
@@ -445,35 +440,39 @@ TEST(TreeChurnTest, SplitAndDrainChurnKeepsTreeExact) {
     for (size_t i = static_cast<size_t>(wave); i < base.size(); i += 4) {
       victims.push_back(base[i].id());
     }
-    ASSERT_TRUE(table->DeleteBatch(victims).ok());
-    auto integrity = table->VerifyIntegrity();
+    ASSERT_TRUE(table.DeleteBatch(victims).ok());
+    auto integrity = table.partitioner().VerifyIntegrity();
     ASSERT_TRUE(integrity.ok()) << integrity.ToString();
-    EXPECT_EQ(table->synopsis_tree().live_count(),
-              table->catalog().partition_count());
+    EXPECT_EQ(table.memory_stats().tree.live_leaves, table.partition_count());
     if (wave < 3) {
       for (size_t i = static_cast<size_t>(wave); i < base.size(); i += 8) {
-        ASSERT_TRUE(table->Insert(base[i]).ok());
+        ASSERT_TRUE(table.Insert(base[i]).ok());
       }
     }
   }
   // Fully drained: the tree must be empty too.
   std::vector<EntityId> rest;
-  table->catalog().ForEachPartition([&](const Partition& partition) {
-    for (const Row& row : partition.segment().rows()) rest.push_back(row.id());
-  });
+  table.partitioner().catalog().ForEachPartition(
+      [&](const Partition& partition) {
+        for (const Row& row : partition.segment().rows()) {
+          rest.push_back(row.id());
+        }
+      });
   if (!rest.empty()) {
-    ASSERT_TRUE(table->DeleteBatch(rest).ok());
+    ASSERT_TRUE(table.DeleteBatch(rest).ok());
   }
-  EXPECT_EQ(table->catalog().partition_count(), 0u);
-  EXPECT_EQ(table->synopsis_tree().live_count(), 0u);
-  EXPECT_EQ(table->synopsis_tree().depth(), 0u);
-  EXPECT_GT(table->synopsis_tree().stats().collapses, 0u);
+  EXPECT_EQ(table.partition_count(), 0u);
+  const VersionedTable::MemoryStats drained = table.memory_stats();
+  EXPECT_EQ(drained.tree.live_leaves, 0u);
+  EXPECT_EQ(drained.tree.depth, 0u);
+  EXPECT_GT(drained.tree.collapses, 0u);
 
   // And the tree restarts cleanly at high partition ids (empty-root
   // growth regression, end to end).
-  for (size_t i = 0; i < 50; ++i) ASSERT_TRUE(table->Insert(base[i]).ok());
-  auto integrity = table->VerifyIntegrity();
+  for (size_t i = 0; i < 50; ++i) ASSERT_TRUE(table.Insert(base[i]).ok());
+  auto integrity = table.partitioner().VerifyIntegrity();
   ASSERT_TRUE(integrity.ok()) << integrity.ToString();
+  EXPECT_EQ(table.memory_stats().tree.live_leaves, table.partition_count());
 }
 
 // Concurrent readers descend pinned view trees while the writer keeps

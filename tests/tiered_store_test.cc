@@ -693,12 +693,13 @@ TEST(SynopsisTreeBulkBuildTest, PropertyMatchesIncrementalUpsertPath) {
 
     // Identical leaf sequences...
     std::vector<std::pair<uint64_t, Synopsis>> got, want;
-    bulk.ForEachLeaf([&](uint64_t key, const Synopsis& synopsis) {
+    bulk.Share().ForEachLeaf([&](uint64_t key, const Synopsis& synopsis) {
       got.emplace_back(key, synopsis);
     });
-    incremental.ForEachLeaf([&](uint64_t key, const Synopsis& synopsis) {
-      want.emplace_back(key, synopsis);
-    });
+    incremental.Share().ForEachLeaf(
+        [&](uint64_t key, const Synopsis& synopsis) {
+          want.emplace_back(key, synopsis);
+        });
     EXPECT_EQ(got, want) << "trial " << trial;
 
     // ...and identical candidate sets for random probes.
@@ -710,9 +711,10 @@ TEST(SynopsisTreeBulkBuildTest, PropertyMatchesIncrementalUpsertPath) {
       }
       std::vector<uint64_t> bulk_hits, inc_hits;
       const std::vector<uint64_t>& words = query.words();
-      bulk.ForEachCandidate(words.data(), words.size(),
-                            [&](uint64_t key) { bulk_hits.push_back(key); });
-      incremental.ForEachCandidate(
+      bulk.Share().ForEachCandidate(
+          words.data(), words.size(),
+          [&](uint64_t key) { bulk_hits.push_back(key); });
+      incremental.Share().ForEachCandidate(
           words.data(), words.size(),
           [&](uint64_t key) { inc_hits.push_back(key); });
       EXPECT_EQ(bulk_hits, inc_hits) << "trial " << trial;
@@ -733,8 +735,8 @@ TEST(SynopsisTreeBulkBuildTest, EmptyAndSingleLeafEdgeCases) {
   EXPECT_TRUE(tree.CheckInvariants(&error)) << error;
   std::vector<uint64_t> hits;
   const std::vector<uint64_t>& words = only.words();
-  tree.ForEachCandidate(words.data(), words.size(),
-                        [&](uint64_t key) { hits.push_back(key); });
+  tree.Share().ForEachCandidate(words.data(), words.size(),
+                                [&](uint64_t key) { hits.push_back(key); });
   EXPECT_EQ(hits, (std::vector<uint64_t>{7}));
 }
 

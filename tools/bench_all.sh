@@ -41,7 +41,6 @@ if [[ "$SMOKE" -eq 1 ]]; then
   export CINDERELLA_BENCH_DURABLE_ROWS=128
   export CINDERELLA_BENCH_QUERY_REPS=3
   export CINDERELLA_BENCH_KERNEL_BITS=1000000
-  export CINDERELLA_BENCH_TREE_PARTITIONS=2000
   export CINDERELLA_BENCH_DURATION_MS=200
   export CINDERELLA_BENCH_READERS=2
   export CINDERELLA_BENCH_CHURN_ROUNDS=3

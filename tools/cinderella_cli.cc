@@ -559,25 +559,6 @@ int Stats(const Args& args) {
                   static_cast<unsigned long long>(m.tree.nodes_copied));
     }
   }
-  // Insert-rating synopsis tree (core/cinderella.h): the structure the
-  // partitioner descends on every FindBestPartition.
-  if (c.config().use_synopsis_tree) {
-    const SynopsisTree& tree = c.synopsis_tree();
-    const SynopsisTree::Stats& ts = tree.stats();
-    std::printf("rating synopsis tree:\n");
-    std::printf("  depth %zu, fanout %zu, %zu internal nodes over %llu "
-                "partition leaves\n",
-                tree.depth(), tree.fanout(), tree.internal_node_count(),
-                static_cast<unsigned long long>(tree.live_count()));
-    std::printf("  %llu upserts (%llu fast-merged, %llu re-ORed nodes), "
-                "%llu removes, %llu collapses, %llu COW copies\n",
-                static_cast<unsigned long long>(ts.upserts),
-                static_cast<unsigned long long>(ts.fast_merges),
-                static_cast<unsigned long long>(ts.node_reors),
-                static_cast<unsigned long long>(ts.removes),
-                static_cast<unsigned long long>(ts.collapses),
-                static_cast<unsigned long long>(ts.nodes_copied));
-  }
   if (args.flags.count("verify") > 0) {
     const Status integrity = c.VerifyIntegrity();
     std::printf("integrity: %s\n", integrity.ToString().c_str());

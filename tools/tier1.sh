@@ -12,7 +12,9 @@
 # never while a pinned reader can still reach it. The tiered
 # cold store runs in both side builds: its spill/fault cycles and
 # snapshot readers over a spilling writer under TSan, and chain/page
-# ownership under ASan with leak detection. A final
+# ownership under ASan with leak detection. The ASan build also runs the
+# decoders of outside bytes: snapshot load, journal recovery and the wire
+# codec. A final
 # UBSan side build (fatal, no recover) covers the aggregation engine's
 # atomics, hashing, and double->int64 truncation paths.
 #
@@ -59,8 +61,9 @@ CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/parallel_s
 CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/aggregator_test
 CINDERELLA_INSERT_SHARDS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/ingest_test
 CINDERELLA_INSERT_SHARDS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/mutation_pipeline_test
-# COW snapshot trees: readers descend frozen roots while the publisher
-# clones the shared spine — the tree's whole concurrency contract.
+# The query-side synopsis tree's copy-on-write contract: readers descend
+# frozen roots while the publisher clones the shared spine; the batched
+# writes behind it rate over four pipeline shards.
 CINDERELLA_INSERT_SHARDS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/synopsis_tree_test
 CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/mvcc_test
 CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/tuner_test
@@ -82,8 +85,8 @@ if [[ "$FAST" -eq 0 ]]; then
   CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/tiered_stress_test
 fi
 
-echo "== tier-1: ASan+leak build of the MVCC read engine tests =="
-ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test)
+echo "== tier-1: ASan+leak build of the MVCC read engine and decoder tests =="
+ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test snapshot_test fuzz_recovery_test net_frame_test)
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_TARGETS+=(mvcc_stress_test tuner_stress_test tiered_stress_test)
 fi
@@ -99,6 +102,12 @@ ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tuner_te
 # CatalogCapture tests live here too: a capture must free every version
 # it built when it dies.
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_store_test
+# Decoders of bytes from outside the process: snapshots (with their split
+# starters), journals replayed after torn writes, and wire frames
+# (truncated and bit-flipped) must fail cleanly, never read out of bounds.
+ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/snapshot_test
+ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/fuzz_recovery_test
+ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/net_frame_test
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_OPTIONS=detect_leaks=1 CINDERELLA_STRESS_READERS=4 \
     timeout "$CTEST_TIMEOUT" ./build-asan/tests/mvcc_stress_test
