@@ -1,7 +1,7 @@
 // Microbench for the networked scatter/gather path (src/net): real
 // NodeServers on loopback TCP behind a pruning Coordinator.
 //
-// Four questions, one JSON:
+// Five questions, one JSON:
 //  - Fan-out vs placement policy: how many nodes does a selective
 //    single-family query contact under round-robin / least-loaded /
 //    schema-aware placement? (Schema-aware co-location should keep it
@@ -14,6 +14,10 @@
 //    includes the coordinator's scatter/gather overhead.
 //  - Straggler share: the slowest node's share of each gather's wall
 //    time, and the busiest node's share of the shipped rows.
+//  - Wire codec: MB/s to encode one 256-row batch from row views into a
+//    sealed frame and to check and decode it again, and the frame
+//    checksum's GB/s on the CRC32C path this host runs and on the table
+//    path.
 //
 // Emits BENCH_net.json in the working directory plus a table on stdout.
 //
@@ -28,8 +32,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/crc32c.h"
 #include "common/env.h"
+#include "common/timer.h"
 #include "net/loopback_cluster.h"
+#include "net/protocol.h"
 #include "query/query.h"
 
 namespace cinderella {
@@ -68,6 +75,86 @@ struct FanoutPoint {
   double avg_nodes_pruned = 0.0;
   double avg_wall_ms = 0.0;
 };
+
+struct CodecPoint {
+  size_t batch_bytes = 0;
+  double encode_mb_per_s = 0.0;
+  double decode_mb_per_s = 0.0;
+  const char* crc32c_path = "";
+  double crc32c_gb_per_s = 0.0;
+  double crc32c_table_gb_per_s = 0.0;
+};
+
+/// One 256-row batch shaped like a Table I footprint: eight cells per row
+/// (integers, doubles, short and longer strings), five of them projected.
+/// Encode = BeginFrame + EncodeRowBatch + SealFrame; decode =
+/// ParseFrameHeader + CheckFramePayload + DecodeRowBatch, i.e. a node's and
+/// the coordinator's per-batch CPU without the socket. False when a decoded
+/// batch does not match what was encoded.
+bool MeasureCodec(int reps, CodecPoint* point) {
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 256; ++id) {
+    Row row(id);
+    for (AttributeId a = 0; a < 8; ++a) {
+      const int64_t v = static_cast<int64_t>(id * 8 + a);
+      if (a % 4 == 0) row.Set(a, Value(v));
+      if (a % 4 == 1) row.Set(a, Value(static_cast<double>(v) / 7.0));
+      if (a % 4 == 2) row.Set(a, Value("item-" + std::to_string(v)));
+      if (a % 4 == 3) row.Set(a, Value(std::string(24, 'a' + a)));
+    }
+    rows.push_back(std::move(row));
+  }
+  const std::vector<RowView> views(rows.begin(), rows.end());
+  const std::vector<AttributeId> projection = {0, 1, 2, 3, 6};
+  const int iterations = 200 * reps;
+
+  std::string frame;
+  uint64_t cells = 0;
+  WallTimer timer;
+  for (int i = 0; i < iterations; ++i) {
+    net::BeginFrame(&frame);
+    cells += net::EncodeRowBatch(1, 0, views, projection, &frame);
+    net::SealFrame(net::FrameType::kRowBatch, &frame);
+  }
+  const double encode_s = timer.ElapsedSeconds();
+  point->batch_bytes = frame.size();
+
+  net::RowBatchMsg batch;
+  bool ok = cells == static_cast<uint64_t>(iterations) * 256 * 5;
+  timer.Restart();
+  for (int i = 0; i < iterations && ok; ++i) {
+    net::FrameHeader header;
+    const std::string_view payload =
+        std::string_view(frame).substr(net::kFrameHeaderBytes);
+    ok = net::ParseFrameHeader(frame, &header).ok() &&
+         net::CheckFramePayload(header, payload).ok() &&
+         net::DecodeRowBatch(payload, &batch).ok();
+  }
+  const double decode_s = timer.ElapsedSeconds();
+  ok = ok && batch.rows.size() == rows.size() &&
+       batch.rows.back().attribute_count() == projection.size();
+  const double mb = static_cast<double>(frame.size()) * iterations / 1e6;
+  point->encode_mb_per_s = mb / encode_s;
+  point->decode_mb_per_s = mb / decode_s;
+
+  // Checksum throughput over 1 MiB, 64 passes per path.
+  std::string buffer(1u << 20, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>(i * 131 + (i >> 9));
+  }
+  const int passes = 32 * reps;
+  const double gb = static_cast<double>(buffer.size()) * passes / 1e9;
+  uint32_t sink = 0;
+  timer.Restart();
+  for (int i = 0; i < passes; ++i) sink ^= Crc32c(buffer);
+  point->crc32c_gb_per_s = gb / timer.ElapsedSeconds();
+  timer.Restart();
+  for (int i = 0; i < passes; ++i) sink ^= Crc32cTable(buffer);
+  point->crc32c_table_gb_per_s = gb / timer.ElapsedSeconds();
+  point->crc32c_path = Crc32cHardwareAvailable() ? "sse4.2" : "table";
+  // An even number of passes per path XORs every value out twice.
+  return ok && sink == 0;
+}
 
 struct ScalingPoint {
   size_t nodes = 0;
@@ -221,6 +308,19 @@ int main() {
     scaling.push_back(point);
   }
 
+  // -- Wire codec -----------------------------------------------------------
+  bench::PrintHeader("net: wire codec (one 256-row batch) and frame checksum");
+  CodecPoint codec;
+  if (!MeasureCodec(reps, &codec)) {
+    std::fprintf(stderr, "wire codec round trip failed\n");
+    return 1;
+  }
+  std::printf(
+      "  batch %zu B: encode %.0f MB/s, decode %.0f MB/s\n"
+      "  crc32c (%s path) %.2f GB/s, table path %.2f GB/s\n",
+      codec.batch_bytes, codec.encode_mb_per_s, codec.decode_mb_per_s,
+      codec.crc32c_path, codec.crc32c_gb_per_s, codec.crc32c_table_gb_per_s);
+
   // -- JSON -----------------------------------------------------------------
   FILE* json = std::fopen("BENCH_net.json", "w");
   if (json == nullptr) {
@@ -256,7 +356,15 @@ int main() {
                  scaling[i].avg_max_node_ms, scaling[i].straggler_time_share,
                  scaling[i].straggler_row_share);
   }
-  std::fprintf(json, "\n  ]\n}\n");
+  std::fprintf(json, "\n  ],\n");
+  std::fprintf(json,
+               "  \"wire_codec\": {\"batch_rows\": 256, \"batch_bytes\": %zu, "
+               "\"encode_mb_per_s\": %.1f, \"decode_mb_per_s\": %.1f, "
+               "\"crc32c_path\": \"%s\", \"crc32c_gb_per_s\": %.3f, "
+               "\"crc32c_table_gb_per_s\": %.3f}\n}\n",
+               codec.batch_bytes, codec.encode_mb_per_s,
+               codec.decode_mb_per_s, codec.crc32c_path,
+               codec.crc32c_gb_per_s, codec.crc32c_table_gb_per_s);
   std::fclose(json);
   std::printf("\nwrote BENCH_net.json\n");
   return 0;

@@ -27,6 +27,30 @@ bool Retryable(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
+/// Merges id-ascending row streams into one id-ascending vector, moving
+/// every row once. Equal ids, which distinct nodes never ship, would come
+/// out in stream order.
+std::vector<Row> MergeById(const std::vector<std::vector<Row>*>& streams) {
+  if (streams.size() == 1) return std::move(*streams[0]);
+  size_t total = 0;
+  for (const std::vector<Row>* stream : streams) total += stream->size();
+  std::vector<Row> merged;
+  merged.reserve(total);
+  std::vector<size_t> next(streams.size(), 0);
+  while (merged.size() < total) {
+    size_t pick = streams.size();
+    for (size_t s = 0; s < streams.size(); ++s) {
+      if (next[s] == streams[s]->size()) continue;
+      if (pick == streams.size() ||
+          (*streams[s])[next[s]].id() < (*streams[pick])[next[pick]].id()) {
+        pick = s;
+      }
+    }
+    merged.push_back(std::move((*streams[pick])[next[pick]++]));
+  }
+  return merged;
+}
+
 }  // namespace
 
 CoordinatorOptions CoordinatorOptions::FromEnv() {
@@ -54,7 +78,9 @@ Status Coordinator::RefreshDigests() {
     Status status = conn.status();
     Frame frame;
     if (status.ok()) {
-      status = WriteFrame(&*conn, FrameType::kSynopsisRequest, "",
+      std::string request;
+      BeginFrame(&request);
+      status = WriteFrame(&*conn, FrameType::kSynopsisRequest, &request,
                           options_.timeout_ms);
     }
     if (status.ok()) {
@@ -102,17 +128,19 @@ Status Coordinator::QueryOnce(size_t node, const QueryRequestMsg& request,
   StatusOr<Socket> conn =
       Socket::Connect(endpoint.host, endpoint.port, options_.timeout_ms);
   CINDERELLA_RETURN_IF_ERROR(conn.status());
+  std::string out;
+  BeginFrame(&out);
+  EncodeQueryRequest(request, &out);
   CINDERELLA_RETURN_IF_ERROR(WriteFrame(&*conn, FrameType::kQueryRequest,
-                                        EncodeQueryRequest(request),
-                                        options_.timeout_ms));
+                                        &out, options_.timeout_ms));
   uint32_t expected_sequence = 0;
+  Frame frame;
+  RowBatchMsg batch;
   while (true) {
-    Frame frame;
     CINDERELLA_RETURN_IF_ERROR(ReadFrame(&*conn, &frame,
                                          options_.timeout_ms));
     switch (frame.type) {
       case FrameType::kRowBatch: {
-        RowBatchMsg batch;
         CINDERELLA_RETURN_IF_ERROR(DecodeRowBatch(frame.payload, &batch));
         if (batch.request_id != request.request_id) {
           return Status::InvalidArgument("row batch for wrong request");
@@ -121,7 +149,18 @@ Status Coordinator::QueryOnce(size_t node, const QueryRequestMsg& request,
           return Status::InvalidArgument("row batch out of sequence");
         }
         ++expected_sequence;
-        for (Row& row : batch.rows) rows->push_back(std::move(row));
+        for (Row& row : batch.rows) {
+          // The merge relies on each response ascending; a node that
+          // breaks the wire contract is corrupt, not slow.
+          if (!rows->empty() && row.id() <= rows->back().id()) {
+            return Status::InvalidArgument(
+                "node " + std::to_string(node) +
+                " sent row ids that do not ascend (" +
+                std::to_string(row.id()) + " after " +
+                std::to_string(rows->back().id()) + ")");
+          }
+          rows->push_back(std::move(row));
+        }
         break;
       }
       case FrameType::kQueryDone: {
@@ -200,8 +239,9 @@ GatherResult Coordinator::Execute(const Query& query) {
   }
   for (std::thread& client : clients) client.join();
 
-  // Gather: merge counters and rows; sort by entity id for the
-  // node-count-independent deterministic order.
+  // Gather: sum the counters and merge the id-ascending row streams of
+  // the nodes that answered in full.
+  std::vector<std::vector<Row>*> streams;
   for (size_t i = 0; i < contacted.size(); ++i) {
     NodeResponse& response = responses[i];
     NodeOutcome& outcome = result.nodes[contacted[i]];
@@ -225,10 +265,9 @@ GatherResult Coordinator::Execute(const Query& query) {
     result.cells_shipped += response.done.cells_shipped;
     result.max_node_rows =
         std::max(result.max_node_rows, response.done.rows_matched);
-    for (Row& row : response.rows) result.rows.push_back(std::move(row));
+    streams.push_back(&response.rows);
   }
-  std::sort(result.rows.begin(), result.rows.end(),
-            [](const Row& a, const Row& b) { return a.id() < b.id(); });
+  if (!streams.empty()) result.rows = MergeById(streams);
   result.wall_ms = MsSince(start);
   return result;
 }
@@ -241,8 +280,10 @@ StatusOr<NodeStatsMsg> Coordinator::FetchStats(size_t node) const {
                                           nodes_[node].port,
                                           options_.timeout_ms);
   CINDERELLA_RETURN_IF_ERROR(conn.status());
-  CINDERELLA_RETURN_IF_ERROR(
-      WriteFrame(&*conn, FrameType::kStatsRequest, "", options_.timeout_ms));
+  std::string request;
+  BeginFrame(&request);
+  CINDERELLA_RETURN_IF_ERROR(WriteFrame(&*conn, FrameType::kStatsRequest,
+                                        &request, options_.timeout_ms));
   Frame frame;
   CINDERELLA_RETURN_IF_ERROR(ReadFrame(&*conn, &frame, options_.timeout_ms));
   if (frame.type == FrameType::kError) {
@@ -267,8 +308,10 @@ Status Coordinator::Ping(size_t node) const {
                                           nodes_[node].port,
                                           options_.timeout_ms);
   CINDERELLA_RETURN_IF_ERROR(conn.status());
+  std::string ping;
+  BeginFrame(&ping);
   CINDERELLA_RETURN_IF_ERROR(
-      WriteFrame(&*conn, FrameType::kPing, "", options_.timeout_ms));
+      WriteFrame(&*conn, FrameType::kPing, &ping, options_.timeout_ms));
   Frame frame;
   CINDERELLA_RETURN_IF_ERROR(ReadFrame(&*conn, &frame, options_.timeout_ms));
   if (frame.type != FrameType::kPong) {

@@ -51,11 +51,13 @@ struct NodeOutcome {
 
 /// Merged result of one scatter/gather execution.
 struct GatherResult {
-  /// Matched rows from every responding node, sorted by entity id — the
-  /// deterministic merge order. Entity ids are globally unique, so this
-  /// ordering (with each row's cells already sorted by attribute id) makes
-  /// the result bit-identical to a single-node ExecuteGather sorted the
-  /// same way, independent of node count, placement, and arrival order.
+  /// Matched rows from every responding node, each projected onto the
+  /// query, in ascending entity id order: every node ships its rows
+  /// ascending and the coordinator merges the streams. Entity ids are
+  /// globally unique, so this order (with each row's cells ascending by
+  /// attribute id) makes the result bit-identical to a single-node
+  /// ExecuteGather projected and sorted the same way, independent of node
+  /// count, placement, and arrival order.
   std::vector<Row> rows;
   /// False when any non-pruned node failed all attempts; `rows` then holds
   /// the partial result from the nodes that did respond.
@@ -109,7 +111,8 @@ class Coordinator {
   /// Scatter/gather execution of an attribute-set query. A node whose
   /// response carries another instance id than the one RefreshDigests
   /// recorded for it (another server now holds its port) counts as
-  /// failed, and none of its rows are merged.
+  /// failed, and none of its rows are merged. So does a node whose row
+  /// ids do not ascend strictly (InvalidArgument, not retried).
   GatherResult Execute(const Query& query);
 
   /// One node's stats frame (the CLI's per-node section); fails the same

@@ -40,8 +40,10 @@ constexpr uint32_t kFrameMagic = 0x444E4943u;
 
 /// Bumped on any incompatible layout change; both sides must match.
 /// Version 2 added the server instance id to the digest, query-done and
-/// stats payloads (net/protocol.h).
-constexpr uint8_t kWireVersion = 2;
+/// stats payloads (net/protocol.h); version 3 made the header checksum
+/// CRC32C and requires the rows of one query response to ascend by entity
+/// id, with each row's cells ascending by attribute id.
+constexpr uint8_t kWireVersion = 3;
 
 /// Hard cap on one frame's payload. Row batches are sliced well below
 /// this (node_server.h); the cap exists so a corrupt length field can
@@ -50,7 +52,7 @@ constexpr uint32_t kMaxFramePayload = 64u << 20;
 
 /// Bytes of the fixed frame header:
 ///   u32 magic, u8 version, u8 type, u16 reserved(0),
-///   u32 payload length, u32 FNV-1a checksum of the payload.
+///   u32 payload length, u32 CRC32C of the payload (common/crc32c.h).
 constexpr size_t kFrameHeaderBytes = 16;
 
 /// One decoded frame.
@@ -59,15 +61,33 @@ struct Frame {
   std::string payload;
 };
 
-/// 32-bit FNV-1a over `data` — the frame checksum. Cheap, endian-free,
-/// and catches the torn/bit-flipped frames the fuzz tests inject; this
-/// is corruption *detection* for a local transport, not cryptography.
-uint32_t FrameChecksum(std::string_view data);
+/// The fields of a validated frame header.
+struct FrameHeader {
+  FrameType type = FrameType::kPing;
+  uint32_t length = 0;    // Payload bytes that follow the header.
+  uint32_t checksum = 0;  // CRC32C the payload must match.
+};
 
-/// Serializes a complete frame (header + payload).
-std::string EncodeFrame(FrameType type, std::string_view payload);
+/// Validates the kFrameHeaderBytes at the front of `bytes` (which must hold
+/// at least that many): bad magic, unsupported version, unknown type,
+/// nonzero reserved bits and oversized lengths are InvalidArgument.
+Status ParseFrameHeader(std::string_view bytes, FrameHeader* header);
 
-/// Incremental decode from the front of `buffer`:
+/// InvalidArgument unless `payload` has the CRC32C `header` announces.
+Status CheckFramePayload(const FrameHeader& header, std::string_view payload);
+
+/// Starts a frame in `*frame`: clears it (its capacity stays, so one buffer
+/// serves a whole response) and reserves the header bytes. The payload
+/// encoders (net/protocol.h) append after them; SealFrame fills them in.
+void BeginFrame(std::string* frame);
+
+/// Writes the header of the frame begun in `*frame`: `type`, the length of
+/// everything after the header, and its CRC32C. The buffer is then one
+/// complete frame, ready for a single send.
+void SealFrame(FrameType type, std::string* frame);
+
+/// Decodes one frame from the front of an in-memory `buffer` with the same
+/// validation ReadFrame (net/socket.h) applies to a socket:
 ///  - returns true and fills `*frame` when a complete, well-formed frame
 ///    is present; `*consumed` is its total size (header + payload);
 ///  - returns false when `buffer` is a valid but incomplete prefix (read

@@ -1,8 +1,8 @@
 #include "net/node_server.h"
 
 #include <algorithm>
-#include <iterator>
 #include <random>
+#include <span>
 #include <utility>
 
 #include "common/env.h"
@@ -129,8 +129,11 @@ void NodeServer::ServeConnection(Socket conn) {
 
 Status NodeServer::HandleFrame(Socket* conn, const Frame& frame) {
   switch (frame.type) {
-    case FrameType::kPing:
-      return WriteFrame(conn, FrameType::kPong, "", options_.io_timeout_ms);
+    case FrameType::kPing: {
+      std::string pong;
+      BeginFrame(&pong);
+      return WriteFrame(conn, FrameType::kPong, &pong, options_.io_timeout_ms);
+    }
     case FrameType::kQueryRequest:
       return HandleQuery(conn, frame);
     case FrameType::kSynopsisRequest:
@@ -159,23 +162,35 @@ Status NodeServer::HandleQuery(Socket* conn, const Frame& frame) {
 
   // Pin one generation for the whole response: the scan and the counters
   // come from a single consistent view no matter how many publications
-  // race past while rows stream out.
+  // race past while rows stream out. The matches are views into that
+  // snapshot (or into cold rows the executor keeps), so both live until
+  // the last frame is sent.
   const VersionedTable::Snapshot snapshot = table_->snapshot();
   QueryExecutor executor(snapshot.view());
   const Query query(Synopsis::FromIds(request.attributes));
-  std::vector<Row> rows;
+  std::vector<RowView> rows;
   const QueryResult result = executor.ExecuteGather(query, &rows);
+  // Entity ids are unique within a node, so ascending id order is total:
+  // the coordinator merges such streams instead of sorting their union.
+  std::sort(rows.begin(), rows.end(), [](const RowView& a, const RowView& b) {
+    return a.id() < b.id();
+  });
 
+  // Each batch is encoded straight from the views into one reused frame
+  // buffer and sent whole.
+  const std::span<const RowView> matches(rows);
+  std::string frame_buffer;
   uint32_t batches = 0;
-  RowBatchMsg batch;
-  batch.request_id = request.request_id;
-  for (size_t begin = 0; begin < rows.size(); begin += options_.batch_rows) {
-    const size_t end = std::min(rows.size(), begin + options_.batch_rows);
-    batch.sequence = batches++;
-    batch.rows.assign(std::make_move_iterator(rows.begin() + begin),
-                      std::make_move_iterator(rows.begin() + end));
+  uint64_t cells = 0;
+  for (size_t begin = 0; begin < matches.size();
+       begin += options_.batch_rows) {
+    const size_t count = std::min(options_.batch_rows, matches.size() - begin);
+    BeginFrame(&frame_buffer);
+    cells += EncodeRowBatch(request.request_id, batches++,
+                            matches.subspan(begin, count), query.projection(),
+                            &frame_buffer);
     CINDERELLA_RETURN_IF_ERROR(WriteFrame(conn, FrameType::kRowBatch,
-                                          EncodeRowBatch(batch),
+                                          &frame_buffer,
                                           options_.io_timeout_ms));
   }
 
@@ -188,9 +203,11 @@ Status NodeServer::HandleQuery(Socket* conn, const Frame& frame) {
   done.partitions_pruned = result.metrics.partitions_pruned;
   done.rows_scanned = result.metrics.rows_scanned;
   done.rows_matched = result.metrics.rows_matched;
-  done.cells_shipped = result.cells_materialized;
+  done.cells_shipped = cells;
+  BeginFrame(&frame_buffer);
+  EncodeQueryDone(done, &frame_buffer);
   CINDERELLA_RETURN_IF_ERROR(WriteFrame(conn, FrameType::kQueryDone,
-                                        EncodeQueryDone(done),
+                                        &frame_buffer,
                                         options_.io_timeout_ms));
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   rows_shipped_.fetch_add(result.metrics.rows_matched,
@@ -207,8 +224,11 @@ Status NodeServer::HandleSynopsis(Socket* conn) {
   digest.partitions = view.partition_count();
   digest.entities = view.entity_count();
   digest.union_words = view.UnionSynopsis().words();
-  return WriteFrame(conn, FrameType::kSynopsisResponse,
-                    EncodeSynopsisDigest(digest), options_.io_timeout_ms);
+  std::string frame;
+  BeginFrame(&frame);
+  EncodeSynopsisDigest(digest, &frame);
+  return WriteFrame(conn, FrameType::kSynopsisResponse, &frame,
+                    options_.io_timeout_ms);
 }
 
 Status NodeServer::HandleStats(Socket* conn) {
@@ -222,13 +242,18 @@ Status NodeServer::HandleStats(Socket* conn) {
   stats.bytes = view.byte_size();
   stats.queries_served = queries_served_.load(std::memory_order_relaxed);
   stats.rows_shipped = rows_shipped_.load(std::memory_order_relaxed);
-  return WriteFrame(conn, FrameType::kStatsResponse, EncodeNodeStats(stats),
+  std::string frame;
+  BeginFrame(&frame);
+  EncodeNodeStats(stats, &frame);
+  return WriteFrame(conn, FrameType::kStatsResponse, &frame,
                     options_.io_timeout_ms);
 }
 
 void NodeServer::SendError(Socket* conn, const Status& status) {
-  (void)WriteFrame(conn, FrameType::kError, EncodeError(status),
-                   options_.io_timeout_ms);
+  std::string frame;
+  BeginFrame(&frame);
+  EncodeError(status, &frame);
+  (void)WriteFrame(conn, FrameType::kError, &frame, options_.io_timeout_ms);
 }
 
 }  // namespace net

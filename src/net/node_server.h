@@ -40,10 +40,13 @@ struct NodeServerOptions {
 /// protocol (net/frame.h) on a loopback TCP port.
 ///
 /// Every query request pins an MVCC snapshot, runs the same
-/// synopsis-pruned scan as a local QueryExecutor (ExecuteGather), and
-/// streams the matched rows back as kRowBatch frames terminated by a
-/// kQueryDone carrying the node's measured scan counters — so concurrent
-/// writers republishing views never block or tear a response.
+/// synopsis-pruned scan as a local QueryExecutor (ExecuteGather), sorts
+/// the matched views by entity id, and streams their projections back as
+/// kRowBatch frames encoded straight from the snapshot into one reused
+/// frame buffer, terminated by a kQueryDone carrying the node's measured
+/// scan counters — so concurrent writers republishing views never block
+/// or tear a response. A response holds one view per match plus that
+/// buffer.
 /// kSynopsisRequest serves the node's pruning digest (the snapshot's
 /// union synopsis plus its generation), kStatsRequest the per-node load
 /// and service counters behind `cinderella_cli stats`.

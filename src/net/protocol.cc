@@ -1,5 +1,8 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace cinderella {
 namespace net {
 namespace {
@@ -13,56 +16,69 @@ constexpr uint32_t kMaxStringBytes = 1u << 28;
 constexpr uint32_t kMaxSynopsisWords = 1u << 20;
 constexpr uint32_t kMaxErrorBytes = 1u << 16;
 
+// The fewest payload bytes one element can take: a row's id and cell
+// count, a cell's attribute, type tag and (empty string) length, an
+// attribute id, a synopsis word. Reservations never exceed what the bytes
+// left could hold.
+constexpr size_t kMinRowBytes = sizeof(uint64_t) + sizeof(uint32_t);
+constexpr size_t kMinCellBytes =
+    sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint32_t);
+constexpr size_t kAttributeBytes = sizeof(AttributeId);
+constexpr size_t kWordBytes = sizeof(uint64_t);
+
+size_t ReserveFor(uint32_t count, const WireReader& reader, size_t min_bytes) {
+  return std::min<size_t>(count, reader.remaining() / min_bytes);
+}
+
 Status Corrupt(const char* what) {
   return Status::InvalidArgument(std::string("corrupt ") + what + " payload");
 }
 
-}  // namespace
-
-void EncodeRowPayload(std::string* out, const Row& row) {
-  WirePod<uint64_t>(out, row.id());
-  WirePod<uint32_t>(out, static_cast<uint32_t>(row.attribute_count()));
-  for (const Row::Cell& cell : row.cells()) {
-    WirePod<uint32_t>(out, cell.attribute);
-    WirePod<uint8_t>(out, static_cast<uint8_t>(cell.value.type()));
-    switch (cell.value.type()) {
-      case ValueType::kInt64:
-        WirePod<int64_t>(out, cell.value.as_int64());
-        break;
-      case ValueType::kDouble:
-        WirePod<double>(out, cell.value.as_double());
-        break;
-      case ValueType::kString: {
-        const std::string& s = cell.value.as_string();
-        WirePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-        out->append(s.data(), s.size());
-        break;
-      }
+void EncodeCell(AttributeId attribute, const Value& value, std::string* out) {
+  WirePod<uint32_t>(out, attribute);
+  WirePod<uint8_t>(out, static_cast<uint8_t>(value.type()));
+  switch (value.type()) {
+    case ValueType::kInt64:
+      WirePod<int64_t>(out, value.as_int64());
+      break;
+    case ValueType::kDouble:
+      WirePod<double>(out, value.as_double());
+      break;
+    case ValueType::kString: {
+      const std::string& s = value.as_string();
+      WirePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
+      out->append(s.data(), s.size());
+      break;
     }
   }
 }
 
-bool DecodeRowPayload(WireReader* reader, Row* row) {
+/// Decodes one row, appending its cells in wire order; false on a torn
+/// payload, an unknown type tag, or attribute ids that do not ascend.
+bool DecodeRow(WireReader* reader, Row* row) {
   uint64_t id = 0;
-  uint32_t cells = 0;
-  if (!reader->Read(&id) || !reader->Read(&cells)) return false;
-  if (cells > kMaxCellsPerRow) return false;
-  *row = Row(id);
-  for (uint32_t c = 0; c < cells; ++c) {
+  uint32_t count = 0;
+  if (!reader->Read(&id) || !reader->Read(&count)) return false;
+  if (count > kMaxCellsPerRow) return false;
+  std::vector<Row::Cell> cells;
+  cells.reserve(ReserveFor(count, *reader, kMinCellBytes));
+  for (uint32_t c = 0; c < count; ++c) {
     uint32_t attribute = 0;
     uint8_t type = 0;
     if (!reader->Read(&attribute) || !reader->Read(&type)) return false;
+    if (!cells.empty() && attribute <= cells.back().attribute) return false;
+    Value value;
     switch (static_cast<ValueType>(type)) {
       case ValueType::kInt64: {
         int64_t v = 0;
         if (!reader->Read(&v)) return false;
-        row->Set(attribute, Value(v));
+        value = Value(v);
         break;
       }
       case ValueType::kDouble: {
         double v = 0;
         if (!reader->Read(&v)) return false;
-        row->Set(attribute, Value(v));
+        value = Value(v);
         break;
       }
       case ValueType::kString: {
@@ -70,24 +86,27 @@ bool DecodeRowPayload(WireReader* reader, Row* row) {
         if (!reader->Read(&size) || size > kMaxStringBytes) return false;
         std::string s;
         if (!reader->ReadBytes(&s, size)) return false;
-        row->Set(attribute, Value(std::move(s)));
+        value = Value(std::move(s));
         break;
       }
       default:
         return false;
     }
+    cells.push_back(Row::Cell{attribute, std::move(value)});
   }
+  *row = Row(id, std::move(cells));
   return true;
 }
 
+}  // namespace
+
+
 // -- QueryRequest -------------------------------------------------------------
 
-std::string EncodeQueryRequest(const QueryRequestMsg& msg) {
-  std::string out;
-  WirePod<uint64_t>(&out, msg.request_id);
-  WirePod<uint32_t>(&out, static_cast<uint32_t>(msg.attributes.size()));
-  for (const AttributeId id : msg.attributes) WirePod<uint32_t>(&out, id);
-  return out;
+void EncodeQueryRequest(const QueryRequestMsg& msg, std::string* out) {
+  WirePod<uint64_t>(out, msg.request_id);
+  WirePod<uint32_t>(out, static_cast<uint32_t>(msg.attributes.size()));
+  for (const AttributeId id : msg.attributes) WirePod<uint32_t>(out, id);
 }
 
 Status DecodeQueryRequest(std::string_view payload, QueryRequestMsg* msg) {
@@ -98,7 +117,7 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequestMsg* msg) {
     return Corrupt("query request");
   }
   msg->attributes.clear();
-  msg->attributes.reserve(count);
+  msg->attributes.reserve(ReserveFor(count, reader, kAttributeBytes));
   for (uint32_t i = 0; i < count; ++i) {
     AttributeId id = 0;
     if (!reader.Read(&id)) return Corrupt("query request");
@@ -110,13 +129,29 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequestMsg* msg) {
 
 // -- RowBatch -----------------------------------------------------------------
 
-std::string EncodeRowBatch(const RowBatchMsg& msg) {
-  std::string out;
-  WirePod<uint64_t>(&out, msg.request_id);
-  WirePod<uint32_t>(&out, msg.sequence);
-  WirePod<uint32_t>(&out, static_cast<uint32_t>(msg.rows.size()));
-  for (const Row& row : msg.rows) EncodeRowPayload(&out, row);
-  return out;
+uint64_t EncodeRowBatch(uint64_t request_id, uint32_t sequence,
+                        std::span<const RowView> rows,
+                        std::span<const AttributeId> attributes,
+                        std::string* out) {
+  WirePod<uint64_t>(out, request_id);
+  WirePod<uint32_t>(out, sequence);
+  WirePod<uint32_t>(out, static_cast<uint32_t>(rows.size()));
+  uint64_t cells = 0;
+  for (const RowView& row : rows) {
+    WirePod<uint64_t>(out, row.id());
+    const size_t count_at = out->size();
+    WirePod<uint32_t>(out, 0);  // Cell count, filled in below.
+    uint32_t count = 0;
+    for (const AttributeId attribute : attributes) {
+      const Value* value = row.Get(attribute);
+      if (value == nullptr) continue;
+      EncodeCell(attribute, *value, out);
+      ++count;
+    }
+    std::memcpy(out->data() + count_at, &count, sizeof(count));
+    cells += count;
+  }
+  return cells;
 }
 
 Status DecodeRowBatch(std::string_view payload, RowBatchMsg* msg) {
@@ -127,10 +162,10 @@ Status DecodeRowBatch(std::string_view payload, RowBatchMsg* msg) {
     return Corrupt("row batch");
   }
   msg->rows.clear();
-  msg->rows.reserve(count);
+  msg->rows.reserve(ReserveFor(count, reader, kMinRowBytes));
   for (uint32_t i = 0; i < count; ++i) {
     Row row;
-    if (!DecodeRowPayload(&reader, &row)) return Corrupt("row batch");
+    if (!DecodeRow(&reader, &row)) return Corrupt("row batch");
     msg->rows.push_back(std::move(row));
   }
   if (!reader.done()) return Corrupt("row batch");
@@ -139,18 +174,16 @@ Status DecodeRowBatch(std::string_view payload, RowBatchMsg* msg) {
 
 // -- QueryDone ----------------------------------------------------------------
 
-std::string EncodeQueryDone(const QueryDoneMsg& msg) {
-  std::string out;
-  WirePod<uint64_t>(&out, msg.request_id);
-  WirePod<uint64_t>(&out, msg.instance_id);
-  WirePod<uint32_t>(&out, msg.batches);
-  WirePod<uint64_t>(&out, msg.partitions_total);
-  WirePod<uint64_t>(&out, msg.partitions_scanned);
-  WirePod<uint64_t>(&out, msg.partitions_pruned);
-  WirePod<uint64_t>(&out, msg.rows_scanned);
-  WirePod<uint64_t>(&out, msg.rows_matched);
-  WirePod<uint64_t>(&out, msg.cells_shipped);
-  return out;
+void EncodeQueryDone(const QueryDoneMsg& msg, std::string* out) {
+  WirePod<uint64_t>(out, msg.request_id);
+  WirePod<uint64_t>(out, msg.instance_id);
+  WirePod<uint32_t>(out, msg.batches);
+  WirePod<uint64_t>(out, msg.partitions_total);
+  WirePod<uint64_t>(out, msg.partitions_scanned);
+  WirePod<uint64_t>(out, msg.partitions_pruned);
+  WirePod<uint64_t>(out, msg.rows_scanned);
+  WirePod<uint64_t>(out, msg.rows_matched);
+  WirePod<uint64_t>(out, msg.cells_shipped);
 }
 
 Status DecodeQueryDone(std::string_view payload, QueryDoneMsg* msg) {
@@ -169,15 +202,13 @@ Status DecodeQueryDone(std::string_view payload, QueryDoneMsg* msg) {
 
 // -- SynopsisDigest -----------------------------------------------------------
 
-std::string EncodeSynopsisDigest(const SynopsisDigestMsg& msg) {
-  std::string out;
-  WirePod<uint64_t>(&out, msg.instance_id);
-  WirePod<uint64_t>(&out, msg.generation);
-  WirePod<uint64_t>(&out, msg.partitions);
-  WirePod<uint64_t>(&out, msg.entities);
-  WirePod<uint32_t>(&out, static_cast<uint32_t>(msg.union_words.size()));
-  for (const uint64_t word : msg.union_words) WirePod<uint64_t>(&out, word);
-  return out;
+void EncodeSynopsisDigest(const SynopsisDigestMsg& msg, std::string* out) {
+  WirePod<uint64_t>(out, msg.instance_id);
+  WirePod<uint64_t>(out, msg.generation);
+  WirePod<uint64_t>(out, msg.partitions);
+  WirePod<uint64_t>(out, msg.entities);
+  WirePod<uint32_t>(out, static_cast<uint32_t>(msg.union_words.size()));
+  for (const uint64_t word : msg.union_words) WirePod<uint64_t>(out, word);
 }
 
 Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg) {
@@ -190,7 +221,7 @@ Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg) {
     return Corrupt("synopsis digest");
   }
   msg->union_words.clear();
-  msg->union_words.reserve(words);
+  msg->union_words.reserve(ReserveFor(words, reader, kWordBytes));
   for (uint32_t i = 0; i < words; ++i) {
     uint64_t word = 0;
     if (!reader.Read(&word)) return Corrupt("synopsis digest");
@@ -202,16 +233,14 @@ Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg) {
 
 // -- NodeStats ----------------------------------------------------------------
 
-std::string EncodeNodeStats(const NodeStatsMsg& msg) {
-  std::string out;
-  WirePod<uint64_t>(&out, msg.instance_id);
-  WirePod<uint64_t>(&out, msg.generation);
-  WirePod<uint64_t>(&out, msg.partitions);
-  WirePod<uint64_t>(&out, msg.entities);
-  WirePod<uint64_t>(&out, msg.bytes);
-  WirePod<uint64_t>(&out, msg.queries_served);
-  WirePod<uint64_t>(&out, msg.rows_shipped);
-  return out;
+void EncodeNodeStats(const NodeStatsMsg& msg, std::string* out) {
+  WirePod<uint64_t>(out, msg.instance_id);
+  WirePod<uint64_t>(out, msg.generation);
+  WirePod<uint64_t>(out, msg.partitions);
+  WirePod<uint64_t>(out, msg.entities);
+  WirePod<uint64_t>(out, msg.bytes);
+  WirePod<uint64_t>(out, msg.queries_served);
+  WirePod<uint64_t>(out, msg.rows_shipped);
 }
 
 Status DecodeNodeStats(std::string_view payload, NodeStatsMsg* msg) {
@@ -228,16 +257,14 @@ Status DecodeNodeStats(std::string_view payload, NodeStatsMsg* msg) {
 
 // -- Error --------------------------------------------------------------------
 
-std::string EncodeError(const Status& status) {
-  std::string out;
-  WirePod<uint8_t>(&out, static_cast<uint8_t>(status.code()));
+void EncodeError(const Status& status, std::string* out) {
+  WirePod<uint8_t>(out, static_cast<uint8_t>(status.code()));
   const std::string& message = status.message();
   const uint32_t size = message.size() > kMaxErrorBytes
                             ? kMaxErrorBytes
                             : static_cast<uint32_t>(message.size());
-  WirePod<uint32_t>(&out, size);
-  out.append(message.data(), size);
-  return out;
+  WirePod<uint32_t>(out, size);
+  out->append(message.data(), size);
 }
 
 Status DecodeError(std::string_view payload, ErrorMsg* msg) {

@@ -2,6 +2,7 @@
 #define CINDERELLA_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,11 @@ struct QueryRequestMsg {
   std::vector<AttributeId> attributes;
 };
 
-/// kRowBatch: one slice of a query's matched rows, in the node's
-/// deterministic scan order. `sequence` numbers the batches of one
-/// response 0,1,2,... so a gather can detect a dropped batch.
+/// kRowBatch: one slice of a query's matched rows. The rows of one
+/// response ascend strictly by entity id across all its batches, and each
+/// row's cells ascend strictly by attribute id. `sequence` numbers the
+/// batches of one response 0,1,2,... so a gather can detect a dropped
+/// batch.
 struct RowBatchMsg {
   uint64_t request_id = 0;
   uint32_t sequence = 0;
@@ -87,32 +90,41 @@ struct ErrorMsg {
   std::string message;
 };
 
-std::string EncodeQueryRequest(const QueryRequestMsg& msg);
+// Encoders append one message's payload to `*out`, normally a frame begun
+// by BeginFrame (net/frame.h), so a message is written once, in place.
+// Decoders size every reservation by the payload bytes left, never by a
+// count field alone.
+
+void EncodeQueryRequest(const QueryRequestMsg& msg, std::string* out);
 Status DecodeQueryRequest(std::string_view payload, QueryRequestMsg* msg);
 
-std::string EncodeRowBatch(const RowBatchMsg& msg);
+/// Appends the kRowBatch payload of `rows`, each projected onto
+/// `attributes` (strictly ascending ids): a row ships the cells of those
+/// attributes it has, in attribute order. The row layout is the journal's
+/// row payload: u64 id, u32 cell count, then per cell u32 attribute, u8
+/// type tag and the value. Returns the number of cells written.
+uint64_t EncodeRowBatch(uint64_t request_id, uint32_t sequence,
+                        std::span<const RowView> rows,
+                        std::span<const AttributeId> attributes,
+                        std::string* out);
+/// Fills `*msg` (rows cleared first). A row whose attribute ids do not
+/// ascend strictly is corrupt.
 Status DecodeRowBatch(std::string_view payload, RowBatchMsg* msg);
 
-std::string EncodeQueryDone(const QueryDoneMsg& msg);
+void EncodeQueryDone(const QueryDoneMsg& msg, std::string* out);
 Status DecodeQueryDone(std::string_view payload, QueryDoneMsg* msg);
 
-std::string EncodeSynopsisDigest(const SynopsisDigestMsg& msg);
+void EncodeSynopsisDigest(const SynopsisDigestMsg& msg, std::string* out);
 Status DecodeSynopsisDigest(std::string_view payload, SynopsisDigestMsg* msg);
 
-std::string EncodeNodeStats(const NodeStatsMsg& msg);
+void EncodeNodeStats(const NodeStatsMsg& msg, std::string* out);
 Status DecodeNodeStats(std::string_view payload, NodeStatsMsg* msg);
 
-std::string EncodeError(const Status& status);
+void EncodeError(const Status& status, std::string* out);
 Status DecodeError(std::string_view payload, ErrorMsg* msg);
 
 /// Reconstructs the Status an ErrorMsg carries.
 Status ErrorToStatus(const ErrorMsg& msg);
-
-/// Row wire helpers shared by the batch codec (format identical in shape
-/// to the journal's row payload: u64 id, u32 cell count, then per cell
-/// u32 attribute, u8 type tag, payload).
-void EncodeRowPayload(std::string* out, const Row& row);
-bool DecodeRowPayload(WireReader* reader, Row* row);
 
 }  // namespace net
 }  // namespace cinderella

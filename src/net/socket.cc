@@ -217,33 +217,27 @@ uint16_t Socket::local_port() const {
   return ntohs(addr.sin_port);
 }
 
-Status WriteFrame(Socket* socket, FrameType type, std::string_view payload,
+Status WriteFrame(Socket* socket, FrameType type, std::string* frame,
                   int timeout_ms) {
-  const std::string frame = EncodeFrame(type, payload);
-  return socket->SendAll(frame.data(), frame.size(), timeout_ms);
+  SealFrame(type, frame);
+  return socket->SendAll(frame->data(), frame->size(), timeout_ms);
 }
 
 Status ReadFrame(Socket* socket, Frame* frame, int timeout_ms) {
   const auto deadline = DeadlineFrom(timeout_ms);
-  std::string header(kFrameHeaderBytes, '\0');
+  char bytes[kFrameHeaderBytes];
   CINDERELLA_RETURN_IF_ERROR(
-      socket->RecvAll(header.data(), header.size(), RemainingMs(deadline)));
-  size_t consumed = 0;
-  StatusOr<bool> decoded = DecodeFrame(header, frame, &consumed);
-  CINDERELLA_RETURN_IF_ERROR(decoded.status());
-  if (*decoded) return Status::OK();  // Empty-payload frame.
-  // The header was valid but announces a payload; read exactly that many
-  // bytes and re-run the full validation (checksum included).
-  uint32_t length = 0;
-  std::memcpy(&length, header.data() + 8, sizeof(length));
-  std::string buffer = std::move(header);
-  buffer.resize(kFrameHeaderBytes + length);
+      socket->RecvAll(bytes, sizeof(bytes), RemainingMs(deadline)));
+  FrameHeader header;
+  CINDERELLA_RETURN_IF_ERROR(
+      ParseFrameHeader(std::string_view(bytes, sizeof(bytes)), &header));
+  // The header is valid: receive exactly the announced payload straight
+  // into the frame, then check it once.
+  frame->type = header.type;
+  frame->payload.resize(header.length);
   CINDERELLA_RETURN_IF_ERROR(socket->RecvAll(
-      buffer.data() + kFrameHeaderBytes, length, RemainingMs(deadline)));
-  decoded = DecodeFrame(buffer, frame, &consumed);
-  CINDERELLA_RETURN_IF_ERROR(decoded.status());
-  if (!*decoded) return Status::Internal("frame decode underflow");
-  return Status::OK();
+      frame->payload.data(), header.length, RemainingMs(deadline)));
+  return CheckFramePayload(header, frame->payload);
 }
 
 }  // namespace net

@@ -70,12 +70,15 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Writes one complete frame.
-Status WriteFrame(Socket* socket, FrameType type, std::string_view payload,
+/// Seals the frame begun in `*frame` (BeginFrame, then the payload) as
+/// `type` and writes it with one SendAll. Every frame type goes out this
+/// way; the buffer keeps its capacity for the next frame.
+Status WriteFrame(Socket* socket, FrameType type, std::string* frame,
                   int timeout_ms);
 
-/// Reads one complete frame (header, then payload) and validates it.
-/// Corrupt bytes surface as InvalidArgument, timeouts as
+/// Reads one complete frame: the header, validated, then the payload
+/// received straight into `frame->payload` and checked against the header's
+/// CRC32C. Corrupt bytes surface as InvalidArgument, timeouts as
 /// DeadlineExceeded, peer close as Unavailable.
 Status ReadFrame(Socket* socket, Frame* frame, int timeout_ms);
 

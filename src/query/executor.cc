@@ -97,8 +97,8 @@ QueryResult QueryExecutor::Scan(const Synopsis& probe, bool prunable,
   });
   if constexpr (std::is_same_v<T, RowView>) {
     // Matched views into chain-fetched cold rows must outlive the sources
-    // (ScanMatches consumes the buffer after this returns); keep the
-    // fetched deques until the next predicate scan.
+    // (ScanMatches and gather callers consume them after this returns);
+    // keep the fetched deques until the next view-returning scan.
     cold_keepalive_.clear();
     for (ScanSource& source : sources) {
       if (source.cold_rows != nullptr) {
@@ -187,22 +187,19 @@ QueryResult QueryExecutor::Execute(const Query& query) {
 }
 
 QueryResult QueryExecutor::ExecuteGather(const Query& query,
-                                         std::vector<Row>* rows) {
-  QueryResult result = Scan(
+                                         std::vector<RowView>* rows) {
+  return Scan(
       query.attributes(), /*prunable=*/true,
-      [&](const RowView& row, std::vector<Row>* gathered) {
-        Row projected(row.id());
+      [&](const RowView& row, std::vector<RowView>* matches) {
         for (AttributeId attribute : query.projection()) {
-          const Value* value = row.Get(attribute);
-          if (value != nullptr) projected.Set(attribute, *value);
+          if (row.Has(attribute)) {
+            matches->push_back(row);
+            return true;
+          }
         }
-        if (projected.attribute_count() == 0) return false;
-        gathered->push_back(std::move(projected));
-        return true;
+        return false;
       },
       rows);
-  for (const Row& row : *rows) result.cells_materialized += row.attribute_count();
-  return result;
 }
 
 }  // namespace cinderella

@@ -137,13 +137,14 @@ class QueryExecutor {
   QueryResult ExecuteSelect(const SelectStatement& statement);
 
   /// Gather form of Execute: same pruning, same deterministic scan order,
-  /// but every matched row is materialized as an owned Row holding
-  /// exactly the projected cells that are present, filling `*rows`
-  /// (cleared first) in partition-id-then-row order. This is the shippable result a
-  /// networked node serves to the scatter/gather coordinator (net/): the
-  /// rows survive the scan (and the snapshot pin) because they own their
-  /// cells.
-  QueryResult ExecuteGather(const Query& query, std::vector<Row>* rows);
+  /// but nothing is materialized (`cells_materialized` stays 0): `*rows`
+  /// (cleared first) receives a view of every matched row, whole, in
+  /// partition-id-then-row order. A networked node (net/) encodes the
+  /// query's projection straight from these views. They borrow from the
+  /// pinned snapshot, or from cold rows this executor keeps until its next
+  /// scan, so they stay valid while both the snapshot pin and the executor
+  /// live and no other scan runs on it; RowView::ToRow() copies one out.
+  QueryResult ExecuteGather(const Query& query, std::vector<RowView>* rows);
 
   /// Like ExecutePredicate, invoking `fn(const RowView&)` for every match
   /// in partition-id-then-row order. Predicate evaluation may run on the
@@ -194,9 +195,9 @@ class QueryExecutor {
   // Reused scratch buffers (cleared per query).
   std::vector<RowView> match_buffer_;
   std::vector<Value> result_buffer_;
-  // Rows fetched from cold page chains during the last predicate scan;
-  // match_buffer_ views borrow from them, so they live until the next
-  // scan clears both.
+  // Rows fetched from cold page chains during the last view-returning
+  // scan (predicate or gather); its views borrow from them, so they live
+  // until the next such scan.
   std::vector<std::shared_ptr<std::deque<Row>>> cold_keepalive_;
 };
 

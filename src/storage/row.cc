@@ -64,10 +64,7 @@ uint64_t RowView::byte_size() const {
 }
 
 Row RowView::ToRow() const {
-  Row row(id_);
-  // Cells are sorted, so each Set appends without shifting.
-  for (const Row::Cell& cell : *this) row.Set(cell.attribute, cell.value);
-  return row;
+  return Row(id_, std::vector<Row::Cell>(begin(), end()));
 }
 
 }  // namespace cinderella

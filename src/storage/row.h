@@ -29,6 +29,10 @@ class Row {
 
   Row() = default;
   explicit Row(EntityId id) : id_(id) {}
+  /// A row holding `cells`, which must ascend strictly by attribute id
+  /// (a decoder that reads cells in that order, or a copied RowView).
+  Row(EntityId id, std::vector<Cell> cells)
+      : id_(id), cells_(std::move(cells)) {}
 
   EntityId id() const { return id_; }
   void set_id(EntityId id) { id_ = id; }

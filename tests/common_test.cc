@@ -1,4 +1,5 @@
-// Unit tests for src/common: status, rng, zipf, histogram, stats, printer.
+// Unit tests for src/common: status, rng, zipf, histogram, stats, printer,
+// env, crc32c.
 
 #include <cmath>
 #include <set>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -298,6 +300,82 @@ TEST(EnvTest, RejectsGarbage) {
   setenv("CINDERELLA_TEST_BAD", "12x", 1);
   EXPECT_EQ(Int64FromEnv("CINDERELLA_TEST_BAD", 9), 9);
   unsetenv("CINDERELLA_TEST_BAD");
+}
+
+// -- CRC32C -----------------------------------------------------------------
+
+std::string Bytes(std::initializer_list<int> values) {
+  std::string out;
+  for (const int v : values) out.push_back(static_cast<char>(v));
+  return out;
+}
+
+std::string Ascending32() {
+  std::string out;
+  for (int i = 0; i < 32; ++i) out.push_back(static_cast<char>(i));
+  return out;
+}
+
+std::string Descending32() {
+  std::string out;
+  for (int i = 31; i >= 0; --i) out.push_back(static_cast<char>(i));
+  return out;
+}
+
+// RFC 3720 section B.4 test vectors, plus the customary check value.
+void ExpectRfc3720Vectors(uint32_t (*crc)(std::string_view)) {
+  EXPECT_EQ(crc(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(crc(std::string(32, '\xFF')), 0x62A8AB43u);
+  EXPECT_EQ(crc(Ascending32()), 0x46DD794Eu);
+  EXPECT_EQ(crc(Descending32()), 0x113FDB5Cu);
+  EXPECT_EQ(crc("123456789"), 0xE3069283u);
+  EXPECT_EQ(crc(""), 0u);
+}
+
+TEST(Crc32cTest, TablePathMatchesRfc3720Vectors) {
+  ExpectRfc3720Vectors(Crc32cTable);
+}
+
+TEST(Crc32cTest, InstructionPathMatchesRfc3720Vectors) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "this CPU has no crc32 instruction";
+  }
+  ExpectRfc3720Vectors(Crc32cHardware);
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesRfc3720Vectors) {
+  ExpectRfc3720Vectors(Crc32c);
+}
+
+// Every length from 0 to 257 at every start offset 0-7 covers the word
+// loops, their byte tails and misaligned loads on both paths.
+TEST(Crc32cTest, PathsAgreeOnEveryLengthAndAlignment) {
+  Rng rng(23);
+  std::string buffer(8 + 257, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 257; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      const uint32_t table = Crc32cTable(data);
+      EXPECT_EQ(Crc32c(data), table) << offset << "+" << length;
+      if (Crc32cHardwareAvailable()) {
+        EXPECT_EQ(Crc32cHardware(data), table) << offset << "+" << length;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, DetectsEverySingleBitFlip) {
+  const std::string pristine = Bytes({0x43, 0x49, 0x4E, 0x44, 0, 1, 2, 3,
+                                      0x7F, 0x80, 0xFF, 0x10, 0x20});
+  const uint32_t expected = Crc32c(pristine);
+  for (size_t byte = 0; byte < pristine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = pristine;
+      flipped[byte] ^= static_cast<char>(1 << bit);
+      EXPECT_NE(Crc32c(flipped), expected) << byte << ":" << bit;
+    }
+  }
 }
 
 }  // namespace

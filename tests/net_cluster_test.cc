@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "mvcc/versioned_table.h"
 #include "net/loopback_cluster.h"
 #include "net/node_server.h"
+#include "net/socket.h"
 #include "query/executor.h"
 
 namespace cinderella {
@@ -49,9 +51,9 @@ CinderellaConfig SmallPartitions() {
   return config;
 }
 
-/// Single-node reference: the same rows through one partitioner, gathered
-/// and sorted by entity id — the distributed result must match this
-/// bit-for-bit.
+/// Single-node reference: the same rows through one partitioner, gathered,
+/// projected onto the query and sorted by entity id — the distributed
+/// result must match this bit-for-bit.
 std::vector<Row> ReferenceRows(const std::vector<Row>& rows,
                                const CinderellaConfig& config,
                                const Query& query) {
@@ -60,8 +62,17 @@ std::vector<Row> ReferenceRows(const std::vector<Row>& rows,
   EXPECT_TRUE(table.InsertBatch(rows).ok());
   const VersionedTable::Snapshot snapshot = table.snapshot();
   QueryExecutor executor(snapshot.view());
+  std::vector<RowView> views;
+  executor.ExecuteGather(query, &views);
   std::vector<Row> gathered;
-  executor.ExecuteGather(query, &gathered);
+  for (const RowView& view : views) {
+    Row projected(view.id());
+    for (const AttributeId attribute : query.projection()) {
+      const Value* value = view.Get(attribute);
+      if (value != nullptr) projected.Set(attribute, *value);
+    }
+    gathered.push_back(std::move(projected));
+  }
   std::sort(gathered.begin(), gathered.end(),
             [](const Row& a, const Row& b) { return a.id() < b.id(); });
   return gathered;
@@ -235,6 +246,96 @@ TEST(NetClusterTest, ServerOnAStoppedNodesPortIsNotMerged) {
   EXPECT_NE(result.nodes[1].error.find("instance"), std::string::npos)
       << result.nodes[1].error;
   EXPECT_FALSE(cluster.coordinator().FetchStats(1).ok());
+}
+
+/// A scripted node on a raw listener: it answers one digest request as
+/// server instance `instance_id`, then one query with two row batches
+/// whose ids descend (5001, then 5000), then its query-done frame.
+void ServeDescendingResponse(Socket* listener, uint64_t instance_id) {
+  constexpr int kTimeoutMs = 5000;
+  StatusOr<Socket> digest_conn = listener->Accept(kTimeoutMs);
+  ASSERT_TRUE(digest_conn.ok()) << digest_conn.status().ToString();
+  Frame frame;
+  ASSERT_TRUE(ReadFrame(&*digest_conn, &frame, kTimeoutMs).ok());
+  ASSERT_EQ(frame.type, FrameType::kSynopsisRequest);
+  SynopsisDigestMsg digest;
+  digest.instance_id = instance_id;
+  digest.generation = 1;
+  digest.partitions = 1;
+  digest.entities = 2;
+  digest.union_words = Synopsis{0, 10, 20, 30}.words();
+  std::string out;
+  BeginFrame(&out);
+  EncodeSynopsisDigest(digest, &out);
+  ASSERT_TRUE(WriteFrame(&*digest_conn, FrameType::kSynopsisResponse, &out,
+                         kTimeoutMs)
+                  .ok());
+
+  StatusOr<Socket> query_conn = listener->Accept(kTimeoutMs);
+  ASSERT_TRUE(query_conn.ok()) << query_conn.status().ToString();
+  ASSERT_TRUE(ReadFrame(&*query_conn, &frame, kTimeoutMs).ok());
+  ASSERT_EQ(frame.type, FrameType::kQueryRequest);
+  QueryRequestMsg request;
+  ASSERT_TRUE(DecodeQueryRequest(frame.payload, &request).ok());
+  const std::vector<AttributeId> projection = {0};
+  uint32_t sequence = 0;
+  for (const EntityId id : {EntityId{5001}, EntityId{5000}}) {
+    const Row row = MakeRow(id, {0});
+    const std::vector<RowView> batch = {RowView(row)};
+    BeginFrame(&out);
+    EncodeRowBatch(request.request_id, sequence++, batch, projection, &out);
+    ASSERT_TRUE(
+        WriteFrame(&*query_conn, FrameType::kRowBatch, &out, kTimeoutMs).ok());
+  }
+  QueryDoneMsg done;
+  done.request_id = request.request_id;
+  done.instance_id = instance_id;
+  done.batches = sequence;
+  done.rows_matched = 2;
+  BeginFrame(&out);
+  EncodeQueryDone(done, &out);
+  // The coordinator may already have hung up on the second batch.
+  (void)WriteFrame(&*query_conn, FrameType::kQueryDone, &out, kTimeoutMs);
+}
+
+// Rows of one response must ascend by entity id: the coordinator merges
+// per-node streams instead of sorting. A node that breaks that contract
+// fails as corrupt after one attempt, and none of its rows are merged,
+// while the live node's rows still arrive.
+TEST(NetClusterTest, NodeWithDescendingRowIdsFailsWithoutRetry) {
+  const std::vector<Row> rows = FamilyRows();
+  LoopbackCluster cluster(FastFailOptions(1));
+  ASSERT_TRUE(cluster.Load(rows).ok());
+
+  StatusOr<Socket> listener = Socket::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  Endpoint scripted;
+  scripted.port = listener->local_port();
+  std::thread node(ServeDescendingResponse, &*listener, 0x5eed5eedULL);
+
+  CoordinatorOptions options;
+  options.timeout_ms = 2000;
+  options.retries = 2;
+  options.backoff_ms = 10;
+  Coordinator coordinator({cluster.coordinator().endpoints()[0], scripted},
+                          options);
+  ASSERT_TRUE(coordinator.RefreshDigests().ok());
+  const Query query(Synopsis{0, 10, 20, 30});
+  const GatherResult result = coordinator.Execute(query);
+  node.join();
+
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.nodes_failed, 1u);
+  ASSERT_EQ(result.nodes.size(), 2u);
+  EXPECT_TRUE(result.nodes[0].ok);
+  EXPECT_FALSE(result.nodes[1].ok);
+  EXPECT_EQ(result.nodes[1].attempts, 1);
+  EXPECT_NE(result.nodes[1].error.find("InvalidArgument"), std::string::npos)
+      << result.nodes[1].error;
+  EXPECT_EQ(result.rows.size(), rows.size());
+  for (const Row& row : result.rows) EXPECT_LT(row.id(), 5000u);
+  ExpectBitIdentical(result.rows,
+                     ReferenceRows(rows, SmallPartitions(), query));
 }
 
 TEST(NetClusterTest, NodeStatsSumToTable) {

@@ -3,11 +3,13 @@
 // bad magic/version/type/checksum must yield a clean Status (or a
 // need-more-bytes signal) — never a crash or an over-read.
 
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "net/frame.h"
 #include "net/protocol.h"
@@ -15,6 +17,38 @@
 namespace cinderella {
 namespace net {
 namespace {
+
+/// A whole frame around `payload`, built the way every sender builds one.
+std::string Framed(FrameType type, std::string_view payload) {
+  std::string frame;
+  BeginFrame(&frame);
+  frame.append(payload);
+  SealFrame(type, &frame);
+  return frame;
+}
+
+/// The payload `encode` appends to an empty buffer.
+template <typename Msg>
+std::string Encoded(const Msg& msg, void (*encode)(const Msg&, std::string*)) {
+  std::string out;
+  encode(msg, &out);
+  return out;
+}
+
+/// Every attribute MakeRow can draw.
+std::vector<AttributeId> AllAttributes() {
+  std::vector<AttributeId> attributes(30);
+  std::iota(attributes.begin(), attributes.end(), AttributeId{0});
+  return attributes;
+}
+
+/// The kRowBatch payload of `msg`'s rows with every cell shipped.
+std::string EncodedBatch(const RowBatchMsg& msg) {
+  const std::vector<RowView> views(msg.rows.begin(), msg.rows.end());
+  std::string out;
+  EncodeRowBatch(msg.request_id, msg.sequence, views, AllAttributes(), &out);
+  return out;
+}
 
 Row MakeRow(EntityId id, Rng& rng) {
   Row row(id);
@@ -38,7 +72,7 @@ Row MakeRow(EntityId id, Rng& rng) {
 
 TEST(NetFrameTest, FrameRoundTrip) {
   const std::string payload = "hello, shard";
-  const std::string encoded = EncodeFrame(FrameType::kQueryRequest, payload);
+  const std::string encoded = Framed(FrameType::kQueryRequest, payload);
   EXPECT_EQ(encoded.size(), kFrameHeaderBytes + payload.size());
 
   Frame frame;
@@ -52,7 +86,7 @@ TEST(NetFrameTest, FrameRoundTrip) {
 }
 
 TEST(NetFrameTest, EmptyPayloadFrame) {
-  const std::string encoded = EncodeFrame(FrameType::kPing, "");
+  const std::string encoded = Framed(FrameType::kPing, "");
   Frame frame;
   size_t consumed = 0;
   StatusOr<bool> decoded = DecodeFrame(encoded, &frame, &consumed);
@@ -64,7 +98,7 @@ TEST(NetFrameTest, EmptyPayloadFrame) {
 
 TEST(NetFrameTest, TruncationAtEveryByteNeverCrashes) {
   const std::string encoded =
-      EncodeFrame(FrameType::kRowBatch, std::string(100, 'z'));
+      Framed(FrameType::kRowBatch, std::string(100, 'z'));
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
     Frame frame;
     size_t consumed = 0;
@@ -80,7 +114,7 @@ TEST(NetFrameTest, TruncationAtEveryByteNeverCrashes) {
 }
 
 TEST(NetFrameTest, BadMagicRejectedEvenOnShortBuffers) {
-  std::string encoded = EncodeFrame(FrameType::kPing, "");
+  std::string encoded = Framed(FrameType::kPing, "");
   encoded[0] = 'X';
   for (size_t cut = 1; cut <= encoded.size(); ++cut) {
     Frame frame;
@@ -92,7 +126,7 @@ TEST(NetFrameTest, BadMagicRejectedEvenOnShortBuffers) {
 }
 
 TEST(NetFrameTest, BadVersionRejected) {
-  std::string encoded = EncodeFrame(FrameType::kPing, "");
+  std::string encoded = Framed(FrameType::kPing, "");
   encoded[4] = static_cast<char>(kWireVersion + 1);
   Frame frame;
   size_t consumed = 0;
@@ -102,7 +136,7 @@ TEST(NetFrameTest, BadVersionRejected) {
 TEST(NetFrameTest, BadTypeRejected) {
   for (const uint8_t type : {uint8_t{0}, uint8_t{kMaxFrameType + 1},
                              uint8_t{255}}) {
-    std::string encoded = EncodeFrame(FrameType::kPing, "");
+    std::string encoded = Framed(FrameType::kPing, "");
     encoded[5] = static_cast<char>(type);
     Frame frame;
     size_t consumed = 0;
@@ -112,7 +146,7 @@ TEST(NetFrameTest, BadTypeRejected) {
 }
 
 TEST(NetFrameTest, NonzeroReservedRejected) {
-  std::string encoded = EncodeFrame(FrameType::kPing, "");
+  std::string encoded = Framed(FrameType::kPing, "");
   encoded[6] = 1;
   Frame frame;
   size_t consumed = 0;
@@ -120,7 +154,7 @@ TEST(NetFrameTest, NonzeroReservedRejected) {
 }
 
 TEST(NetFrameTest, OversizedLengthRejectedWithoutAllocating) {
-  std::string encoded = EncodeFrame(FrameType::kRowBatch, "abc");
+  std::string encoded = Framed(FrameType::kRowBatch, "abc");
   const uint32_t huge = kMaxFramePayload + 1;
   std::memcpy(encoded.data() + 8, &huge, sizeof(huge));
   Frame frame;
@@ -129,7 +163,7 @@ TEST(NetFrameTest, OversizedLengthRejectedWithoutAllocating) {
 }
 
 TEST(NetFrameTest, CorruptedChecksumRejected) {
-  std::string encoded = EncodeFrame(FrameType::kQueryDone, "payload bytes");
+  std::string encoded = Framed(FrameType::kQueryDone, "payload bytes");
   encoded[encoded.size() - 1] ^= 0x40;  // Flip a payload bit.
   Frame frame;
   size_t consumed = 0;
@@ -139,7 +173,7 @@ TEST(NetFrameTest, CorruptedChecksumRejected) {
 
 TEST(NetFrameTest, HeaderBitFlipsNeverCrash) {
   const std::string pristine =
-      EncodeFrame(FrameType::kSynopsisResponse, std::string(64, 'q'));
+      Framed(FrameType::kSynopsisResponse, std::string(64, 'q'));
   for (size_t byte = 0; byte < kFrameHeaderBytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupted = pristine;
@@ -150,9 +184,31 @@ TEST(NetFrameTest, HeaderBitFlipsNeverCrash) {
       // decodes must at least still checksum-match.
       StatusOr<bool> decoded = DecodeFrame(corrupted, &frame, &consumed);
       if (decoded.ok() && *decoded) {
-        EXPECT_EQ(FrameChecksum(frame.payload),
-                  FrameChecksum(std::string(64, 'q')));
+        EXPECT_EQ(Crc32c(frame.payload),
+                  Crc32c(std::string(64, 'q')));
       }
+    }
+  }
+}
+
+// CRC32C detects every single-bit error, so no flip of a row batch's
+// payload can pass the frame check (FNV-1a, the version-2 checksum, never
+// promised that).
+TEST(NetFrameTest, EverySingleBitFlipOfARowBatchPayloadIsRejected) {
+  Rng rng(17);
+  RowBatchMsg batch;
+  batch.request_id = 21;
+  for (EntityId id = 0; id < 40; ++id) batch.rows.push_back(MakeRow(id, rng));
+  const std::string pristine = Framed(FrameType::kRowBatch, EncodedBatch(batch));
+  for (size_t byte = kFrameHeaderBytes; byte < pristine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupted = pristine;
+      corrupted[byte] ^= static_cast<char>(1 << bit);
+      Frame frame;
+      size_t consumed = 0;
+      const StatusOr<bool> decoded = DecodeFrame(corrupted, &frame, &consumed);
+      ASSERT_FALSE(decoded.ok()) << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
     }
   }
 }
@@ -162,7 +218,7 @@ TEST(NetProtocolTest, QueryRequestRoundTrip) {
   msg.request_id = 42;
   msg.attributes = {3, 1, 4, 159};
   QueryRequestMsg out;
-  ASSERT_TRUE(DecodeQueryRequest(EncodeQueryRequest(msg), &out).ok());
+  ASSERT_TRUE(DecodeQueryRequest(Encoded(msg, EncodeQueryRequest), &out).ok());
   EXPECT_EQ(out.request_id, 42u);
   EXPECT_EQ(out.attributes, msg.attributes);
 }
@@ -175,7 +231,7 @@ TEST(NetProtocolTest, RowBatchRoundTripBitExact) {
   for (EntityId id = 0; id < 50; ++id) msg.rows.push_back(MakeRow(id, rng));
 
   RowBatchMsg out;
-  ASSERT_TRUE(DecodeRowBatch(EncodeRowBatch(msg), &out).ok());
+  ASSERT_TRUE(DecodeRowBatch(EncodedBatch(msg), &out).ok());
   EXPECT_EQ(out.request_id, 9u);
   EXPECT_EQ(out.sequence, 3u);
   ASSERT_EQ(out.rows.size(), msg.rows.size());
@@ -202,7 +258,7 @@ TEST(NetProtocolTest, QueryDoneRoundTrip) {
   msg.rows_matched = 321;
   msg.cells_shipped = 642;
   QueryDoneMsg out;
-  ASSERT_TRUE(DecodeQueryDone(EncodeQueryDone(msg), &out).ok());
+  ASSERT_TRUE(DecodeQueryDone(Encoded(msg, EncodeQueryDone), &out).ok());
   EXPECT_EQ(out.request_id, 5u);
   EXPECT_EQ(out.instance_id, 0x0123456789abcdefULL);
   EXPECT_EQ(out.batches, 2u);
@@ -219,7 +275,8 @@ TEST(NetProtocolTest, SynopsisDigestRoundTrip) {
   msg.entities = 4000;
   msg.union_words = {0xdeadbeefULL, 0x0, 0xffffULL};
   SynopsisDigestMsg out;
-  ASSERT_TRUE(DecodeSynopsisDigest(EncodeSynopsisDigest(msg), &out).ok());
+  ASSERT_TRUE(
+      DecodeSynopsisDigest(Encoded(msg, EncodeSynopsisDigest), &out).ok());
   EXPECT_EQ(out.instance_id, 0xfedcba9876543210ULL);
   EXPECT_EQ(out.generation, 17u);
   EXPECT_EQ(out.union_words, msg.union_words);
@@ -235,7 +292,7 @@ TEST(NetProtocolTest, NodeStatsRoundTrip) {
   msg.queries_served = 7;
   msg.rows_shipped = 888;
   NodeStatsMsg out;
-  ASSERT_TRUE(DecodeNodeStats(EncodeNodeStats(msg), &out).ok());
+  ASSERT_TRUE(DecodeNodeStats(Encoded(msg, EncodeNodeStats), &out).ok());
   EXPECT_EQ(out.instance_id, 0x1122334455667788ULL);
   EXPECT_EQ(out.generation, 3u);
   EXPECT_EQ(out.bytes, 123456u);
@@ -245,7 +302,7 @@ TEST(NetProtocolTest, NodeStatsRoundTrip) {
 TEST(NetProtocolTest, ErrorRoundTrip) {
   const Status original = Status::Unavailable("node 3 is down");
   ErrorMsg msg;
-  ASSERT_TRUE(DecodeError(EncodeError(original), &msg).ok());
+  ASSERT_TRUE(DecodeError(Encoded(original, EncodeError), &msg).ok());
   const Status restored = ErrorToStatus(msg);
   EXPECT_EQ(restored.code(), StatusCode::kUnavailable);
   EXPECT_EQ(restored.message(), "node 3 is down");
@@ -290,30 +347,31 @@ TEST(NetProtocolTest, PayloadTruncationAtEveryByteFailsCleanly) {
       (void)DecodeError(torn, &e);
     }
   };
-  fuzz_one(EncodeRowBatch(batch), [](std::string_view torn) {
+  fuzz_one(EncodedBatch(batch), [](std::string_view torn) {
     RowBatchMsg out;
     return DecodeRowBatch(torn, &out).ok();
   });
-  fuzz_one(EncodeQueryRequest(query), [](std::string_view torn) {
+  fuzz_one(Encoded(query, EncodeQueryRequest), [](std::string_view torn) {
     QueryRequestMsg out;
     return DecodeQueryRequest(torn, &out).ok();
   });
-  fuzz_one(EncodeQueryDone(done), [](std::string_view torn) {
+  fuzz_one(Encoded(done, EncodeQueryDone), [](std::string_view torn) {
     QueryDoneMsg out;
     return DecodeQueryDone(torn, &out).ok();
   });
-  fuzz_one(EncodeSynopsisDigest(digest), [](std::string_view torn) {
+  fuzz_one(Encoded(digest, EncodeSynopsisDigest), [](std::string_view torn) {
     SynopsisDigestMsg out;
     return DecodeSynopsisDigest(torn, &out).ok();
   });
-  fuzz_one(EncodeNodeStats(stats), [](std::string_view torn) {
+  fuzz_one(Encoded(stats, EncodeNodeStats), [](std::string_view torn) {
     NodeStatsMsg out;
     return DecodeNodeStats(torn, &out).ok();
   });
-  fuzz_one(EncodeError(Status::Internal("boom")), [](std::string_view torn) {
-    ErrorMsg out;
-    return DecodeError(torn, &out).ok();
-  });
+  fuzz_one(Encoded(Status::Internal("boom"), EncodeError),
+           [](std::string_view torn) {
+             ErrorMsg out;
+             return DecodeError(torn, &out).ok();
+           });
 }
 
 TEST(NetProtocolTest, RandomBitFlipsNeverCrashDecoders) {
@@ -321,7 +379,7 @@ TEST(NetProtocolTest, RandomBitFlipsNeverCrashDecoders) {
   RowBatchMsg batch;
   batch.request_id = 77;
   for (EntityId id = 0; id < 20; ++id) batch.rows.push_back(MakeRow(id, rng));
-  const std::string pristine = EncodeRowBatch(batch);
+  const std::string pristine = EncodedBatch(batch);
 
   for (int trial = 0; trial < 500; ++trial) {
     std::string corrupted = pristine;
@@ -368,27 +426,117 @@ TEST(NetProtocolTest, InstanceIdBitFlipsNeverCrashAndChangeTheId) {
       }
     }
   };
-  flip_each_bit(EncodeQueryDone(done), sizeof(uint64_t),
+  flip_each_bit(Encoded(done, EncodeQueryDone), sizeof(uint64_t),
                 [](std::string_view bytes, uint64_t* id) {
                   QueryDoneMsg out;
                   const bool ok = DecodeQueryDone(bytes, &out).ok();
                   *id = out.instance_id;
                   return ok;
                 });
-  flip_each_bit(EncodeSynopsisDigest(digest), 0,
+  flip_each_bit(Encoded(digest, EncodeSynopsisDigest), 0,
                 [](std::string_view bytes, uint64_t* id) {
                   SynopsisDigestMsg out;
                   const bool ok = DecodeSynopsisDigest(bytes, &out).ok();
                   *id = out.instance_id;
                   return ok;
                 });
-  flip_each_bit(EncodeNodeStats(stats), 0,
+  flip_each_bit(Encoded(stats, EncodeNodeStats), 0,
                 [](std::string_view bytes, uint64_t* id) {
                   NodeStatsMsg out;
                   const bool ok = DecodeNodeStats(bytes, &out).ok();
                   *id = out.instance_id;
                   return ok;
                 });
+}
+
+// A node ships each matched row projected onto the query: only the
+// queried cells the row has, in attribute order, counted in the return.
+TEST(NetProtocolTest, RowBatchShipsOnlyTheProjectedCells) {
+  Row wide(7);
+  for (AttributeId a = 0; a < 10; ++a) wide.Set(a, Value(int64_t{a} * 10));
+  Row narrow(9);
+  narrow.Set(4, Value(std::string("four")));
+  const std::vector<RowView> views = {RowView(wide), RowView(narrow)};
+  const std::vector<AttributeId> projection = {1, 4, 8, 12};
+  std::string payload;
+  EXPECT_EQ(EncodeRowBatch(3, 0, views, projection, &payload), 4u);
+
+  RowBatchMsg out;
+  ASSERT_TRUE(DecodeRowBatch(payload, &out).ok());
+  ASSERT_EQ(out.rows.size(), 2u);
+  EXPECT_EQ(out.rows[0].id(), 7u);
+  ASSERT_EQ(out.rows[0].attribute_count(), 3u);
+  EXPECT_EQ(out.rows[0].cells()[0].attribute, 1u);
+  EXPECT_EQ(out.rows[0].cells()[1].attribute, 4u);
+  EXPECT_EQ(out.rows[0].cells()[2].attribute, 8u);
+  EXPECT_TRUE(out.rows[0].cells()[2].value == Value(int64_t{80}));
+  EXPECT_EQ(out.rows[1].id(), 9u);
+  ASSERT_EQ(out.rows[1].attribute_count(), 1u);
+  EXPECT_TRUE(out.rows[1].cells()[0].value == Value(std::string("four")));
+}
+
+// Cells reach a decoded row in wire order, so the decoder itself enforces
+// the ascending attribute order a Row relies on.
+TEST(NetProtocolTest, RowWithRepeatedOrDescendingAttributeIsCorrupt) {
+  const auto payload_with = [](AttributeId first, AttributeId second) {
+    std::string out;
+    WirePod<uint64_t>(&out, 1);  // Request id.
+    WirePod<uint32_t>(&out, 0);  // Sequence.
+    WirePod<uint32_t>(&out, 1);  // Rows.
+    WirePod<uint64_t>(&out, 42);  // Entity id.
+    WirePod<uint32_t>(&out, 2);   // Cells.
+    for (const AttributeId attribute : {first, second}) {
+      WirePod<uint32_t>(&out, attribute);
+      WirePod<uint8_t>(&out, static_cast<uint8_t>(ValueType::kInt64));
+      WirePod<int64_t>(&out, 5);
+    }
+    return out;
+  };
+  RowBatchMsg out;
+  EXPECT_TRUE(DecodeRowBatch(payload_with(3, 4), &out).ok());
+  const Status repeated = DecodeRowBatch(payload_with(4, 4), &out);
+  EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument);
+  const Status descending = DecodeRowBatch(payload_with(4, 3), &out);
+  EXPECT_EQ(descending.code(), StatusCode::kInvalidArgument);
+}
+
+// A count field that announces far more elements than the payload holds
+// fails as corrupt without reserving for the announced count: rows take
+// at least 12 bytes, attribute ids 4, synopsis words 8.
+TEST(NetProtocolTest, RowBatchReservesNoMoreRowsThanThePayloadHolds) {
+  std::string payload;
+  WirePod<uint64_t>(&payload, 1);                 // Request id.
+  WirePod<uint32_t>(&payload, 0);                 // Sequence.
+  WirePod<uint32_t>(&payload, (1u << 20) - 1);    // Announced rows.
+  WirePod<uint32_t>(&payload, 0);                 // Four bytes of "rows".
+  ASSERT_EQ(payload.size(), 20u);
+  RowBatchMsg out;
+  EXPECT_EQ(DecodeRowBatch(payload, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_LE(out.rows.capacity(), 4u / 12u);
+}
+
+TEST(NetProtocolTest, QueryRequestReservesNoMoreIdsThanThePayloadHolds) {
+  std::string payload;
+  WirePod<uint64_t>(&payload, 1);               // Request id.
+  WirePod<uint32_t>(&payload, (1u << 20) - 1);  // Announced attributes.
+  for (AttributeId a = 0; a < 3; ++a) WirePod<uint32_t>(&payload, a);
+  QueryRequestMsg out;
+  EXPECT_EQ(DecodeQueryRequest(payload, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_LE(out.attributes.capacity(), 12u / 4u);
+}
+
+TEST(NetProtocolTest, SynopsisDigestReservesNoMoreWordsThanThePayloadHolds) {
+  std::string payload;
+  for (int field = 0; field < 4; ++field) WirePod<uint64_t>(&payload, 1);
+  WirePod<uint32_t>(&payload, (1u << 20) - 1);  // Announced words.
+  WirePod<uint64_t>(&payload, 0xff);
+  WirePod<uint64_t>(&payload, 0xf0);
+  SynopsisDigestMsg out;
+  EXPECT_EQ(DecodeSynopsisDigest(payload, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_LE(out.union_words.capacity(), 16u / 8u);
 }
 
 }  // namespace

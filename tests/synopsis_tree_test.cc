@@ -348,8 +348,8 @@ TEST_P(TreeEquivalenceTest, TreeMatchesFlatUnderChurn) {
     QueryExecutor tree_exec(tree_snap.view());
     ExpectSameQueryResult(tree_exec.Execute(query), flat_exec.Execute(query));
 
-    std::vector<Row> flat_rows;
-    std::vector<Row> tree_rows;
+    std::vector<RowView> flat_rows;
+    std::vector<RowView> tree_rows;
     ExpectSameQueryResult(tree_exec.ExecuteGather(query, &tree_rows),
                           flat_exec.ExecuteGather(query, &flat_rows));
     ASSERT_EQ(tree_rows.size(), flat_rows.size());

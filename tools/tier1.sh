@@ -13,8 +13,10 @@
 # cold store runs in both side builds: its spill/fault cycles and
 # snapshot readers over a spilling writer under TSan, and chain/page
 # ownership under ASan with leak detection. The ASan build also runs the
-# decoders of outside bytes: snapshot load, journal recovery and the wire
-# codec. A final
+# decoders of outside bytes (snapshot load, journal recovery and the wire
+# codec) and the networked gather: a node encodes its response from views
+# into the pinned snapshot until the last row batch is sent, so ASan is
+# what shows that no view outlives that snapshot. A final
 # UBSan side build (fatal, no recover) covers the aggregation engine's
 # atomics, hashing, and double->int64 truncation paths.
 #
@@ -85,10 +87,10 @@ if [[ "$FAST" -eq 0 ]]; then
   CINDERELLA_SCAN_THREADS=4 timeout "$CTEST_TIMEOUT" ./build-tsan/tests/tiered_stress_test
 fi
 
-echo "== tier-1: ASan+leak build of the MVCC read engine and decoder tests =="
-ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test snapshot_test fuzz_recovery_test net_frame_test)
+echo "== tier-1: ASan+leak build of the MVCC read engine, decoder and gather tests =="
+ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test snapshot_test fuzz_recovery_test net_frame_test net_cluster_test)
 if [[ "$FAST" -eq 0 ]]; then
-  ASAN_TARGETS+=(mvcc_stress_test tuner_stress_test tiered_stress_test)
+  ASAN_TARGETS+=(mvcc_stress_test tuner_stress_test tiered_stress_test net_stress_test)
 fi
 cmake -B build-asan -S . -DCINDERELLA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" --target "${ASAN_TARGETS[@]}"
@@ -108,11 +110,19 @@ ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_s
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/snapshot_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/fuzz_recovery_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/net_frame_test
+# Node responses are encoded from views into the pinned snapshot while
+# frames go out; the coordinator merges the decoded per-node streams.
+ASAN_OPTIONS=detect_leaks=1 CINDERELLA_NET_SERVER_THREADS=3 \
+  timeout "$CTEST_TIMEOUT" ./build-asan/tests/net_cluster_test
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_OPTIONS=detect_leaks=1 CINDERELLA_STRESS_READERS=4 \
     timeout "$CTEST_TIMEOUT" ./build-asan/tests/mvcc_stress_test
   ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tuner_stress_test
   ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_stress_test
+  # Concurrent gathers against a server whose snapshots republish under
+  # them: every response's views must stay inside its own pinned snapshot.
+  ASAN_OPTIONS=detect_leaks=1 CINDERELLA_NET_SERVER_THREADS=3 \
+    timeout "$CTEST_TIMEOUT" ./build-asan/tests/net_stress_test
 fi
 
 echo "== tier-1: UBSan build of the aggregation + scan engine tests =="
