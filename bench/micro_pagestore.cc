@@ -64,31 +64,36 @@ void BM_PageCodecReadRow(benchmark::State& state) {
 BENCHMARK(BM_PageCodecReadRow);
 
 void BM_PagerWriteRead(benchmark::State& state) {
-  auto pager = Pager::Open("/tmp/bench_pager.db", 8192, true);
+  auto pager = Pager::Open("/tmp/bench_pager.db", 8192);
   if (!pager.ok()) {
     state.SkipWithError("cannot open pager file");
     return;
   }
-  auto page = (*pager)->AllocatePage();
+  const PageId page = (*pager)->AllocatePage();
   std::vector<uint8_t> buffer(8192, 0x5A);
   for (auto _ : state) {
-    benchmark::DoNotOptimize((*pager)->WritePage(*page, buffer.data()));
-    benchmark::DoNotOptimize((*pager)->ReadPage(*page, buffer.data()));
+    benchmark::DoNotOptimize((*pager)->WritePage(page, buffer.data()));
+    benchmark::DoNotOptimize((*pager)->ReadPage(page, buffer.data()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 16384);
 }
 BENCHMARK(BM_PagerWriteRead);
 
 void BM_BufferPoolHit(benchmark::State& state) {
-  auto pager = Pager::Open("/tmp/bench_pool.db", 8192, true);
+  auto pager = Pager::Open("/tmp/bench_pool.db", 8192);
   if (!pager.ok()) {
     state.SkipWithError("cannot open pager file");
     return;
   }
-  auto page = (*pager)->AllocatePage();
+  const PageId page = (*pager)->AllocatePage();
+  const std::vector<uint8_t> zeros(8192, 0);
+  if (!(*pager)->WritePage(page, zeros.data()).ok()) {
+    state.SkipWithError("cannot write the page");
+    return;
+  }
   BufferPool pool(pager->get(), 4);
   for (auto _ : state) {
-    auto handle = pool.Fetch(*page);
+    auto handle = pool.Fetch(page);
     benchmark::DoNotOptimize(handle->data());
   }
   state.SetItemsProcessed(state.iterations());

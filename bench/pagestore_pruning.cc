@@ -2,11 +2,12 @@
 // systems, pages may represent a partition granularity where solving the
 // online partitioning problem can help to increase the query efficiency").
 //
-// Part 1 — static layouts: the DBpedia data set is laid out in a
-// file-backed slotted-page store twice: partitioned by Cinderella (each
-// partition = one page chain) and in arrival order. The selective
-// workload then runs against both; the metric is physical pages fetched —
-// what pruning saves a disk-based system.
+// Part 1 — static layouts: the DBpedia data set is written to the cold
+// tier's page file twice: partitioned by Cinderella (each partition = one
+// page chain) and in arrival order (one chain). The selective workload
+// then runs against both, reading only the chains whose partition
+// synopsis intersects the query; the metric is physical pages fetched
+// through the buffer pool — what pruning saves a disk-based system.
 //
 // Part 2 — out-of-core tiered engine: the same data set inside a *live*
 // Cinderella engine whose idle tail is spilled to a TieredStore cold tier
@@ -32,9 +33,6 @@
 #include "common/table_printer.h"
 #include "core/cinderella.h"
 #include "mvcc/versioned_table.h"
-#include "pagestore/buffer_pool.h"
-#include "pagestore/paged_store.h"
-#include "pagestore/pager.h"
 #include "query/executor.h"
 #include "storage/tiered_store.h"
 #include "workload/dbpedia_generator.h"
@@ -43,23 +41,48 @@
 namespace cinderella {
 namespace {
 
+/// One static layout: page chains in their own tier, each with the
+/// synopsis of the rows it holds.
 struct Layout {
-  std::unique_ptr<Pager> pager;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<PagedStore> store;
-};
+  std::unique_ptr<TieredStore> tier;
+  std::vector<std::shared_ptr<const ColdChain>> chains;
+  std::vector<Synopsis> synopses;
 
-Layout MakeLayout(const std::string& path, size_t pool_frames) {
-  Layout layout;
-  auto pager = Pager::Open(path, 8192, /*truncate=*/true);
-  CINDERELLA_CHECK(pager.ok());
-  layout.pager = std::move(pager).value();
-  layout.pool =
-      std::make_unique<BufferPool>(layout.pager.get(), pool_frames);
-  layout.store =
-      std::make_unique<PagedStore>(layout.pager.get(), layout.pool.get());
-  return layout;
-}
+  explicit Layout(const std::string& path) {
+    TieredStoreOptions options;
+    options.path = path;
+    options.page_size = 8192;
+    options.pool_frames = 64;
+    tier = std::move(TieredStore::Open(options)).value();
+  }
+
+  void AddChain(const std::vector<Row>& rows, Synopsis synopsis) {
+    chains.push_back(std::move(tier->WriteChain(rows)).value());
+    synopses.push_back(std::move(synopsis));
+  }
+
+  uint64_t pages() const { return tier->stats().cold_pages; }
+
+  /// Reads every chain whose synopsis intersects the query. Returns the
+  /// number of matching rows; `pages_fetched` gets the pool fetches the
+  /// query made.
+  uint64_t Execute(const Query& query, uint64_t* pages_fetched) const {
+    const BufferPoolStats before = tier->stats().pool;
+    uint64_t matched = 0;
+    for (size_t i = 0; i < chains.size(); ++i) {
+      if (!synopses[i].Intersects(query.attributes())) continue;
+      CINDERELLA_CHECK(tier->ReadChain(*chains[i], [&](Row&& row) {
+                             if (query.Matches(row.AttributeSynopsis())) {
+                               ++matched;
+                             }
+                           }).ok());
+    }
+    const BufferPoolStats after = tier->stats().pool;
+    *pages_fetched =
+        (after.hits + after.misses) - (before.hits + before.misses);
+    return matched;
+  }
+};
 
 int Main() {
   DbpediaConfig config;
@@ -83,26 +106,24 @@ int Main() {
   auto cinderella = std::move(Cinderella::Create(cc)).value();
   bench::LoadRows(*cinderella, bench::CopyRows(rows));
 
-  Layout partitioned = MakeLayout("/tmp/cinderella_partitioned.db", 64);
+  Layout partitioned("/tmp/cinderella_partitioned.pages");
   cinderella->catalog().ForEachPartition([&](const Partition& partition) {
-    CINDERELLA_CHECK(partitioned.store->AddPartition(partition).ok());
+    if (partition.entity_count() == 0) return;
+    partitioned.AddChain(partition.segment().rows(),
+                         partition.attribute_synopsis());
   });
 
   // Arrival-order layout: one chain holding everything.
-  Layout arrival = MakeLayout("/tmp/cinderella_arrival.db", 64);
-  const size_t single = arrival.store->AddEmptyPartition();
-  for (const Row& row : rows) {
-    CINDERELLA_CHECK(arrival.store->Insert(single, row).ok());
-  }
-  CINDERELLA_CHECK(partitioned.pool->FlushAll().ok());
-  CINDERELLA_CHECK(arrival.pool->FlushAll().ok());
+  Layout arrival("/tmp/cinderella_arrival.pages");
+  Synopsis all_attributes;
+  for (const Row& row : rows) all_attributes.UnionWith(row.AttributeSynopsis());
+  arrival.AddChain(rows, std::move(all_attributes));
 
   std::printf("partitioned layout: %zu partitions, %llu pages in file\n",
-              partitioned.store->partition_count(),
-              static_cast<unsigned long long>(
-                  partitioned.pager->page_count() - 1));
+              partitioned.chains.size(),
+              static_cast<unsigned long long>(partitioned.pages()));
   std::printf("arrival layout: 1 chain, %llu pages in file\n",
-              static_cast<unsigned long long>(arrival.pager->page_count() - 1));
+              static_cast<unsigned long long>(arrival.pages()));
 
   bench::PrintHeader("Pages fetched per query (selectivity bands)");
   TablePrinter table({"selectivity", "queries", "partitioned pages/query",
@@ -116,12 +137,12 @@ int Main() {
     size_t count = 0;
     for (const GeneratedQuery& q : workload) {
       if (q.selectivity < lo || q.selectivity >= hi) continue;
-      auto a = partitioned.store->ExecuteQuery(q.query);
-      auto b = arrival.store->ExecuteQuery(q.query);
-      CINDERELLA_CHECK(a.ok() && b.ok());
-      CINDERELLA_CHECK(a->rows_matched == b->rows_matched);
-      pages_partitioned += a->pages_fetched;
-      pages_arrival += b->pages_fetched;
+      uint64_t a = 0;
+      uint64_t b = 0;
+      CINDERELLA_CHECK(partitioned.Execute(q.query, &a) ==
+                       arrival.Execute(q.query, &b));
+      pages_partitioned += a;
+      pages_arrival += b;
       ++count;
     }
     if (count == 0) continue;
@@ -139,13 +160,15 @@ int Main() {
   }
   std::fputs(table.ToString().c_str(), stdout);
 
+  const BufferPoolStats partitioned_pool = partitioned.tier->stats().pool;
+  const BufferPoolStats arrival_pool = arrival.tier->stats().pool;
   std::printf(
       "\nbuffer pool after the workload: partitioned %llu hits / %llu "
       "misses; arrival %llu hits / %llu misses\n",
-      static_cast<unsigned long long>(partitioned.pool->stats().hits),
-      static_cast<unsigned long long>(partitioned.pool->stats().misses),
-      static_cast<unsigned long long>(arrival.pool->stats().hits),
-      static_cast<unsigned long long>(arrival.pool->stats().misses));
+      static_cast<unsigned long long>(partitioned_pool.hits),
+      static_cast<unsigned long long>(partitioned_pool.misses),
+      static_cast<unsigned long long>(arrival_pool.hits),
+      static_cast<unsigned long long>(arrival_pool.misses));
 
   // ---- Part 2: out-of-core tiered engine, hybrid pruned scans. ----
 
@@ -192,8 +215,6 @@ int Main() {
   tier_options.page_size = 8192;
   tier_options.pool_frames = std::max<size_t>(
       2, static_cast<size_t>(dataset_bytes / (tier_options.page_size * 16)));
-  tier_options.budget_bytes = 1;  // Keep FromEnv from re-resolving to 0=off.
-  tier_options.min_idle = 1;
   const uint64_t pool_budget_bytes =
       static_cast<uint64_t>(tier_options.pool_frames) * tier_options.page_size;
   auto tier = std::move(TieredStore::Open(tier_options)).value();
@@ -275,10 +296,9 @@ int Main() {
                "  \"static_layouts\": {\"partitions\": %zu, "
                "\"partitioned_pages\": %llu, \"arrival_pages\": %llu, "
                "\"avg_page_saving\": %.2f},\n",
-               partitioned.store->partition_count(),
-               static_cast<unsigned long long>(
-                   partitioned.pager->page_count() - 1),
-               static_cast<unsigned long long>(arrival.pager->page_count() - 1),
+               partitioned.chains.size(),
+               static_cast<unsigned long long>(partitioned.pages()),
+               static_cast<unsigned long long>(arrival.pages()),
                saving_bands > 0 ? overall_saving / saving_bands : 0.0);
   std::fprintf(json,
                "  \"tiered\": {\"dataset_bytes\": %llu, "

@@ -61,12 +61,11 @@ StatusOr<std::unique_ptr<DurableTable>> DurableTable::Open(Options options) {
   const std::string snapshot_file = options.directory + "/snapshot.bin";
   const std::string journal_file = options.directory + "/journal.log";
 
-  // Cold tier: resolve the spill knobs and create the page store when a
-  // budget is configured. The page file is always truncated — recovery
-  // re-establishes tier placement from the journal's kSpill records, it
-  // never reuses old pages.
+  // Cold tier: create the page store when a budget is configured. The
+  // page file is always truncated — recovery re-establishes tier
+  // placement from the journal's kSpill records, it never reuses old
+  // pages.
   options.spill.path = options.directory + "/pages.bin";
-  options.spill = TieredStoreOptions::FromEnv(options.spill);
   std::unique_ptr<TieredStore> tier;
   if (options.spill.budget_bytes > 0) {
     StatusOr<std::unique_ptr<TieredStore>> opened =
@@ -353,7 +352,8 @@ Status DurableTable::Checkpoint() {
   ops_since_sync_ = 0;
   // The snapshot is residency-agnostic (restore starts all-hot), so the
   // fresh journal must re-assert the current cold set for the next
-  // recovery; the tier itself is flushed as part of the checkpoint.
+  // recovery. The page file needs no flush: nothing reads it after a
+  // restart.
   if (tier_ != nullptr) {
     std::vector<EntityId> cold;
     cinderella_->catalog().ForEachPartition([&](const Partition& partition) {
@@ -364,7 +364,6 @@ Status DurableTable::Checkpoint() {
     if (!cold.empty()) {
       CINDERELLA_RETURN_IF_ERROR(journal_->LogSpillSet(cold));
     }
-    CINDERELLA_RETURN_IF_ERROR(tier_->Flush());
   }
   return Status::OK();
 }

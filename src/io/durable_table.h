@@ -44,10 +44,9 @@ class DurableTable {
     /// Batched-insert engine tuning (shard count, rating window) for the
     /// BatchInserter attached to the recovered partitioner.
     BatchInserterOptions ingest;
-    /// Cold-tier knobs. Zero-valued fields resolve from the
-    /// CINDERELLA_SPILL_* environment (see TieredStoreOptions); `path` is
-    /// ignored — the page file always lives at <directory>/pages.bin.
-    /// When the resolved budget_bytes is 0, tiering is disabled entirely.
+    /// Cold-tier settings (see TieredStoreOptions); `path` is ignored —
+    /// the page file always lives at <directory>/pages.bin. When
+    /// budget_bytes is 0 (the default), tiering is disabled entirely.
     TieredStoreOptions spill;
   };
 
@@ -105,7 +104,7 @@ class DurableTable {
   /// The batched-insert engine attached to the table's partitioner.
   const BatchInserter& batch_inserter() const { return *ingest_; }
 
-  /// True when a cold tier is attached (resolved spill budget > 0).
+  /// True when a cold tier is attached (spill budget > 0).
   bool tiering_enabled() const { return tier_ != nullptr; }
 
   /// The cold tier, or nullptr when tiering is disabled.

@@ -129,7 +129,7 @@ VersionedTable::MemoryStats VersionedTable::memory_stats() const {
       if (version->cold()) {
         ++stats.cold_versions;
         stats.cold_bytes += version->cold_chain()->bytes;
-        stats.cold_pages += version->cold_chain()->pages;
+        stats.cold_pages += version->cold_chain()->page_ids.size();
       } else {
         ++stats.hot_versions;
       }

@@ -29,16 +29,6 @@ const uint8_t* PageHandle::data() const {
   return pool_->frames_[frame_].data.data();
 }
 
-uint8_t* PageHandle::mutable_data() {
-  CINDERELLA_DCHECK(valid());
-  return pool_->frames_[frame_].data.data();
-}
-
-void PageHandle::MarkDirty() {
-  CINDERELLA_DCHECK(valid());
-  pool_->frames_[frame_].dirty = true;
-}
-
 void PageHandle::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(frame_);
@@ -58,8 +48,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_frames)
     free_frames_.push_back(i - 1);
   }
 }
-
-BufferPool::~BufferPool() { FlushAll(); }
 
 StatusOr<PageHandle> BufferPool::Fetch(PageId page) {
   auto it = page_to_frame_.find(page);
@@ -83,10 +71,13 @@ StatusOr<PageHandle> BufferPool::Fetch(PageId page) {
     CINDERELLA_RETURN_IF_ERROR(EvictOne(&slot));
   }
   Frame& frame = frames_[slot];
-  CINDERELLA_RETURN_IF_ERROR(pager_->ReadPage(page, frame.data.data()));
+  const Status read = pager_->ReadPage(page, frame.data.data());
+  if (!read.ok()) {
+    free_frames_.push_back(slot);
+    return read;
+  }
   frame.page = page;
   frame.pins = 1;
-  frame.dirty = false;
   frame.in_lru = false;
   page_to_frame_[page] = slot;
   return PageHandle(this, slot, page);
@@ -102,18 +93,8 @@ Status BufferPool::EvictOne(size_t* frame_out) {
   frame.in_lru = false;
   CINDERELLA_DCHECK(frame.pins == 0);
   ++stats_.evictions;
-  CINDERELLA_RETURN_IF_ERROR(WriteBack(frame));
   page_to_frame_.erase(frame.page);
-  frame.page = 0;
   *frame_out = slot;
-  return Status::OK();
-}
-
-Status BufferPool::WriteBack(Frame& frame) {
-  if (!frame.dirty) return Status::OK();
-  CINDERELLA_RETURN_IF_ERROR(pager_->WritePage(frame.page, frame.data.data()));
-  frame.dirty = false;
-  ++stats_.writebacks;
   return Status::OK();
 }
 
@@ -127,32 +108,17 @@ void BufferPool::Unpin(size_t slot) {
   }
 }
 
-Status BufferPool::FlushAll() {
-  for (Frame& frame : frames_) {
-    if (frame.page != 0) {
-      CINDERELLA_RETURN_IF_ERROR(WriteBack(frame));
-    }
-  }
-  return pager_->Flush();
-}
-
-Status BufferPool::Discard(PageId page) {
+void BufferPool::Discard(PageId page) {
   auto it = page_to_frame_.find(page);
-  if (it == page_to_frame_.end()) return Status::OK();
+  if (it == page_to_frame_.end()) return;
   Frame& frame = frames_[it->second];
-  if (frame.pins > 0) {
-    return Status::FailedPrecondition("page " + std::to_string(page) +
-                                      " is pinned");
-  }
+  CINDERELLA_DCHECK(frame.pins == 0);
   if (frame.in_lru) {
     lru_.erase(frame.lru_position);
     frame.in_lru = false;
   }
   free_frames_.push_back(it->second);
-  frame.page = 0;
-  frame.dirty = false;
   page_to_frame_.erase(it);
-  return Status::OK();
 }
 
 }  // namespace cinderella

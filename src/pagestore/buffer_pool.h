@@ -14,9 +14,7 @@ namespace cinderella {
 
 class BufferPool;
 
-/// Pinned view of one cached page. Unpins on destruction. Mutations must
-/// be announced with MarkDirty() so the frame is written back on eviction
-/// or FlushAll().
+/// Pinned, read-only view of one cached page. Unpins on destruction.
 class PageHandle {
  public:
   PageHandle() = default;
@@ -28,9 +26,7 @@ class PageHandle {
 
   bool valid() const { return pool_ != nullptr; }
   const uint8_t* data() const;
-  uint8_t* mutable_data();
   PageId page() const { return page_; }
-  void MarkDirty();
 
   /// Explicit early unpin.
   void Release();
@@ -50,10 +46,12 @@ struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t writebacks = 0;
 };
 
-/// Fixed-capacity LRU buffer pool over a Pager.
+/// Fixed-capacity LRU read cache over a Pager. Pages are written straight
+/// through the pager, never through the pool, so a frame is never dirty
+/// and eviction is free. Whoever rewrites a page id must Discard() its
+/// frame first, or a later Fetch() may return the old bytes.
 ///
 /// Pinned frames are never evicted; Fetch fails with FailedPrecondition
 /// when every frame is pinned. Single-threaded, like the rest of the
@@ -61,7 +59,6 @@ struct BufferPoolStats {
 class BufferPool {
  public:
   BufferPool(Pager* pager, size_t capacity_frames);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -69,12 +66,9 @@ class BufferPool {
   /// Pins the page, reading it from the pager on a miss.
   StatusOr<PageHandle> Fetch(PageId page);
 
-  /// Writes back every dirty frame.
-  Status FlushAll();
-
-  /// Drops a page from the cache (e.g. after FreePage); it must not be
-  /// pinned.
-  Status Discard(PageId page);
+  /// Drops a page's frame, if cached (e.g. before its id is freed). The
+  /// page must not be pinned.
+  void Discard(PageId page);
 
   const BufferPoolStats& stats() const { return stats_; }
   size_t capacity() const { return frames_.size(); }
@@ -83,18 +77,15 @@ class BufferPool {
   friend class PageHandle;
 
   struct Frame {
-    PageId page = 0;  // 0 = empty frame.
+    PageId page = 0;
     std::vector<uint8_t> data;
     uint32_t pins = 0;
-    bool dirty = false;
     std::list<size_t>::iterator lru_position;
     bool in_lru = false;
   };
 
   void Unpin(size_t frame);
-  void Touch(size_t frame);
   Status EvictOne(size_t* frame_out);
-  Status WriteBack(Frame& frame);
 
   Pager* pager_;
   std::vector<Frame> frames_;

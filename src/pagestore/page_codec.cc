@@ -1,7 +1,6 @@
 #include "pagestore/page_codec.h"
 
 #include <cstring>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -10,6 +9,7 @@ namespace {
 
 constexpr size_t kHeaderBytes = 4;
 constexpr size_t kSlotBytes = 4;
+constexpr size_t kRowHeaderBytes = 8 + 2;  // Entity id + cell count.
 
 uint16_t Load16(const uint8_t* p) {
   uint16_t v;
@@ -70,7 +70,7 @@ size_t PageCodec::FreeSpace(const uint8_t* page) const {
 }
 
 size_t PageCodec::EncodedRowSize(const Row& row) {
-  size_t size = 8 + 2;  // id + cell count
+  size_t size = kRowHeaderBytes;
   for (const Row::Cell& cell : row.cells()) {
     size += 4 + 1;  // attribute + type tag
     switch (cell.value.type()) {
@@ -84,6 +84,10 @@ size_t PageCodec::EncodedRowSize(const Row& row) {
     }
   }
   return size;
+}
+
+bool PageCodec::FitsInPage(const Row& row) const {
+  return EncodedRowSize(row) <= page_size_ - kHeaderBytes - kSlotBytes;
 }
 
 std::optional<uint16_t> PageCodec::AppendRow(uint8_t* page,
@@ -135,42 +139,44 @@ std::optional<uint16_t> PageCodec::AppendRow(uint8_t* page,
   return slot;
 }
 
-bool PageCodec::IsLive(const uint8_t* page, uint16_t slot) const {
-  if (slot >= SlotCount(page)) return false;
-  return Load16(SlotEntry(page, page_size_, slot) + 2) != 0;
-}
-
 StatusOr<Row> PageCodec::ReadRow(const uint8_t* page, uint16_t slot) const {
-  if (slot >= SlotCount(page)) {
+  const size_t slots = SlotCount(page);
+  if (slots > (page_size_ - kHeaderBytes) / kSlotBytes) {
+    return Status::OutOfRange("corrupt page: slot count " +
+                              std::to_string(slots));
+  }
+  if (slot >= slots) {
     return Status::OutOfRange("slot " + std::to_string(slot) +
                               " out of range");
   }
   const uint8_t* entry = SlotEntry(page, page_size_, slot);
-  const uint16_t offset = Load16(entry);
-  const uint16_t length = Load16(entry + 2);
-  if (length == 0) {
-    return Status::NotFound("slot " + std::to_string(slot) +
-                            " is tombstoned");
+  const size_t offset = Load16(entry);
+  const size_t length = Load16(entry + 2);
+  const size_t directory_start = page_size_ - kSlotBytes * slots;
+  if (length < kRowHeaderBytes || offset < kHeaderBytes ||
+      offset + length > directory_start) {
+    return Status::OutOfRange("corrupt slot " + std::to_string(slot));
   }
   const uint8_t* in = page + offset;
-  const uint8_t* end = in + length;
+  const uint8_t* const end = in + length;
+  const auto remaining = [&] { return static_cast<size_t>(end - in); };
   Row row(Load64(in));
   in += 8;
   const uint16_t cells = Load16(in);
   in += 2;
   for (uint16_t c = 0; c < cells; ++c) {
-    if (in + 5 > end) return Status::OutOfRange("corrupt row payload");
+    if (remaining() < 5) return Status::OutOfRange("corrupt row payload");
     const uint32_t attribute = Load32(in);
     in += 4;
     const uint8_t type = *in++;
     switch (static_cast<ValueType>(type)) {
       case ValueType::kInt64:
-        if (in + 8 > end) return Status::OutOfRange("corrupt row payload");
+        if (remaining() < 8) return Status::OutOfRange("corrupt row payload");
         row.Set(attribute, Value(static_cast<int64_t>(Load64(in))));
         in += 8;
         break;
       case ValueType::kDouble: {
-        if (in + 8 > end) return Status::OutOfRange("corrupt row payload");
+        if (remaining() < 8) return Status::OutOfRange("corrupt row payload");
         double d;
         std::memcpy(&d, in, 8);
         row.Set(attribute, Value(d));
@@ -178,10 +184,12 @@ StatusOr<Row> PageCodec::ReadRow(const uint8_t* page, uint16_t slot) const {
         break;
       }
       case ValueType::kString: {
-        if (in + 2 > end) return Status::OutOfRange("corrupt row payload");
+        if (remaining() < 2) return Status::OutOfRange("corrupt row payload");
         const uint16_t size = Load16(in);
         in += 2;
-        if (in + size > end) return Status::OutOfRange("corrupt row payload");
+        if (remaining() < size) {
+          return Status::OutOfRange("corrupt row payload");
+        }
         row.Set(attribute,
                 Value(std::string(reinterpret_cast<const char*>(in), size)));
         in += size;
@@ -192,28 +200,6 @@ StatusOr<Row> PageCodec::ReadRow(const uint8_t* page, uint16_t slot) const {
     }
   }
   return row;
-}
-
-void PageCodec::Tombstone(uint8_t* page, uint16_t slot) const {
-  if (slot >= SlotCount(page)) return;
-  Store16(SlotEntry(page, page_size_, slot) + 2, 0);
-}
-
-size_t PageCodec::Compact(uint8_t* page) const {
-  const uint16_t slots = SlotCount(page);
-  std::vector<Row> live;
-  for (uint16_t slot = 0; slot < slots; ++slot) {
-    if (!IsLive(page, slot)) continue;
-    StatusOr<Row> row = ReadRow(page, slot);
-    CINDERELLA_CHECK(row.ok());
-    live.push_back(std::move(row).value());
-  }
-  InitPage(page);
-  for (const Row& row : live) {
-    const auto slot = AppendRow(page, row);
-    CINDERELLA_CHECK(slot.has_value());
-  }
-  return live.size();
 }
 
 }  // namespace cinderella

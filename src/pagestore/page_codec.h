@@ -9,15 +9,16 @@
 
 namespace cinderella {
 
-/// Identifier of a page within a Pager file. Page 0 is the file header;
-/// data pages start at 1.
+/// Identifier of a page within a Pager file: page `id` starts at byte
+/// id * page_size.
 using PageId = uint64_t;
 
 /// Slotted-page layout for sparse universal-table rows.
 ///
 /// The paper's third deployment scenario puts the partitioning at page
 /// granularity in a disk-based system; this codec is the physical row
-/// format for that scenario.
+/// format for that scenario. Pages are written once, full, and never
+/// edited in place.
 ///
 /// Layout (little-endian):
 ///   [0..2)  uint16 slot_count
@@ -26,8 +27,7 @@ using PageId = uint64_t;
 ///   ...free space...
 ///   [page_size - 4*slot_count .. page_size)
 ///           slot directory, growing downwards; slot i occupies the 4
-///           bytes at page_size - 4*(i+1): uint16 offset, uint16 length
-///           (length 0 = tombstone).
+///           bytes at page_size - 4*(i+1): uint16 offset, uint16 length.
 ///
 /// Row payload: uint64 entity id, uint16 cell count, then per cell:
 /// uint32 attribute, uint8 type tag, and 8 bytes (int64/double) or
@@ -42,7 +42,7 @@ class PageCodec {
   /// Formats an empty page in `page` (page_size bytes).
   void InitPage(uint8_t* page) const;
 
-  /// Number of slots (live + tombstoned).
+  /// Number of slots, as stored in the page header (ReadRow bounds it).
   uint16_t SlotCount(const uint8_t* page) const;
 
   /// Contiguous free bytes available for one more row (accounting for the
@@ -52,22 +52,17 @@ class PageCodec {
   /// Encoded payload size of a row.
   static size_t EncodedRowSize(const Row& row);
 
+  /// True if `row` fits in an empty page.
+  bool FitsInPage(const Row& row) const;
+
   /// Appends `row`, returning its slot, or nullopt if it does not fit.
   std::optional<uint16_t> AppendRow(uint8_t* page, const Row& row) const;
 
-  /// True if the slot exists and is not tombstoned.
-  bool IsLive(const uint8_t* page, uint16_t slot) const;
-
-  /// Decodes the row in `slot`; fails on tombstones and bad slots.
+  /// Decodes the row in `slot`. The page may hold any bytes (it was read
+  /// back from a file): a slot, offset, length or cell that points outside
+  /// the page or its row payload fails with OutOfRange instead of being
+  /// followed.
   StatusOr<Row> ReadRow(const uint8_t* page, uint16_t slot) const;
-
-  /// Tombstones a slot (idempotent). The payload bytes become dead space
-  /// until Compact().
-  void Tombstone(uint8_t* page, uint16_t slot) const;
-
-  /// Rewrites the page keeping only live rows; slot indexes change.
-  /// Returns the number of live rows kept.
-  size_t Compact(uint8_t* page) const;
 
  private:
   size_t page_size_;

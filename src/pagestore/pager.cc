@@ -1,157 +1,89 @@
 #include "pagestore/pager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
-#include <vector>
 
 #include "common/logging.h"
 
 namespace cinderella {
-namespace {
-
-constexpr uint32_t kMagic = 0x50444e43;  // "CNDP"
-constexpr uint32_t kVersion = 1;
-
-struct Header {
-  uint32_t magic;
-  uint32_t version;
-  uint64_t page_size;
-  uint64_t page_count;
-  uint64_t free_head;
-  uint64_t free_count;
-};
-
-}  // namespace
-
-Pager::Pager(std::fstream file, std::string path, size_t page_size)
-    : file_(std::move(file)), path_(std::move(path)), page_size_(page_size) {}
-
-Pager::~Pager() { Flush(); }
 
 StatusOr<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
-                                             size_t page_size,
-                                             bool truncate) {
-  if (page_size < sizeof(Header) || page_size > 65536) {
+                                             size_t page_size) {
+  if (page_size < 64 || page_size > 65536) {
     return Status::InvalidArgument("unsupported page size");
   }
-  std::ios::openmode mode = std::ios::binary | std::ios::in | std::ios::out;
-  if (truncate) mode |= std::ios::trunc;
-  std::fstream file(path, mode);
-  if (!file.is_open() && truncate) {
-    // in|out|trunc fails when the file does not exist on some platforms;
-    // create it first.
-    std::ofstream create(path, std::ios::binary | std::ios::trunc);
-    create.close();
-    file.open(path, std::ios::binary | std::ios::in | std::ios::out);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    return Status::InvalidArgument("cannot open " + path + ": " +
+                                   std::strerror(errno));
   }
-  if (!file.is_open()) {
-    return Status::NotFound("cannot open " + path);
-  }
-  std::unique_ptr<Pager> pager(new Pager(std::move(file), path, page_size));
-
-  if (truncate) {
-    CINDERELLA_RETURN_IF_ERROR(pager->WriteHeader());
-    return pager;
-  }
-
-  // Existing file: read and validate the header.
-  Header header{};
-  pager->file_.seekg(0);
-  pager->file_.read(reinterpret_cast<char*>(&header), sizeof(header));
-  if (!pager->file_.good() || header.magic != kMagic ||
-      header.version != kVersion) {
-    return Status::InvalidArgument(path + " is not a Cinderella page file");
-  }
-  if (header.page_size != page_size) {
-    return Status::InvalidArgument(
-        "page size mismatch: file has " + std::to_string(header.page_size));
-  }
-  pager->page_count_ = header.page_count;
-  pager->free_head_ = header.free_head;
-  pager->free_count_ = header.free_count;
-  return pager;
+  return std::unique_ptr<Pager>(new Pager(fd, page_size));
 }
 
-Status Pager::WriteHeader() {
-  Header header{kMagic, kVersion, page_size_, page_count_, free_head_,
-                free_count_};
-  std::vector<uint8_t> buffer(page_size_, 0);
-  std::memcpy(buffer.data(), &header, sizeof(header));
-  file_.clear();
-  file_.seekp(0);
-  file_.write(reinterpret_cast<const char*>(buffer.data()),
-              static_cast<std::streamsize>(page_size_));
-  if (!file_.good()) return Status::Internal("header write failure");
-  return Status::OK();
-}
+Pager::~Pager() { ::close(fd_); }
 
-Status Pager::Seek(PageId page) {
-  if (page == 0 || page >= page_count_) {
+Status Pager::CheckRange(PageId page) const {
+  if (page >= page_count_) {
     return Status::OutOfRange("page " + std::to_string(page) +
                               " out of range");
   }
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(page * page_size_));
-  file_.seekp(static_cast<std::streamoff>(page * page_size_));
   return Status::OK();
 }
 
-StatusOr<PageId> Pager::AllocatePage() {
-  std::vector<uint8_t> zero(page_size_, 0);
-  if (free_head_ != 0) {
-    const PageId page = free_head_;
-    CINDERELLA_RETURN_IF_ERROR(ReadPage(page, zero.data()));
-    std::memcpy(&free_head_, zero.data(), sizeof(free_head_));
-    --free_count_;
-    std::fill(zero.begin(), zero.end(), 0);
-    CINDERELLA_RETURN_IF_ERROR(WritePage(page, zero.data()));
-    return page;
-  }
-  const PageId page = page_count_++;
-  file_.clear();
-  file_.seekp(static_cast<std::streamoff>(page * page_size_));
-  file_.write(reinterpret_cast<const char*>(zero.data()),
-              static_cast<std::streamsize>(page_size_));
-  if (!file_.good()) return Status::Internal("page extension failure");
-  ++pages_written_;
+PageId Pager::AllocatePage() {
+  if (free_pages_.empty()) return page_count_++;
+  const PageId page = free_pages_.back();
+  free_pages_.pop_back();
   return page;
 }
 
 Status Pager::ReadPage(PageId page, uint8_t* buffer) {
-  CINDERELLA_RETURN_IF_ERROR(Seek(page));
-  file_.read(reinterpret_cast<char*>(buffer),
-             static_cast<std::streamsize>(page_size_));
-  if (!file_.good()) return Status::Internal("page read failure");
+  CINDERELLA_RETURN_IF_ERROR(CheckRange(page));
+  const off_t base = static_cast<off_t>(page * page_size_);
+  size_t done = 0;
+  while (done < page_size_) {
+    const ssize_t got = ::pread(fd_, buffer + done, page_size_ - done,
+                                base + static_cast<off_t>(done));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("page read failure: ") +
+                              std::strerror(errno));
+    }
+    if (got == 0) {
+      return Status::OutOfRange("page " + std::to_string(page) +
+                                " reads short: never written");
+    }
+    done += static_cast<size_t>(got);
+  }
   ++pages_read_;
   return Status::OK();
 }
 
 Status Pager::WritePage(PageId page, const uint8_t* buffer) {
-  CINDERELLA_RETURN_IF_ERROR(Seek(page));
-  file_.write(reinterpret_cast<const char*>(buffer),
-              static_cast<std::streamsize>(page_size_));
-  if (!file_.good()) return Status::Internal("page write failure");
+  CINDERELLA_RETURN_IF_ERROR(CheckRange(page));
+  const off_t base = static_cast<off_t>(page * page_size_);
+  size_t done = 0;
+  while (done < page_size_) {
+    const ssize_t put = ::pwrite(fd_, buffer + done, page_size_ - done,
+                                 base + static_cast<off_t>(done));
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("page write failure: ") +
+                              std::strerror(errno));
+    }
+    done += static_cast<size_t>(put);
+  }
   ++pages_written_;
   return Status::OK();
 }
 
-Status Pager::FreePage(PageId page) {
-  if (page == 0 || page >= page_count_) {
-    return Status::OutOfRange("page " + std::to_string(page) +
-                              " out of range");
-  }
-  std::vector<uint8_t> buffer(page_size_, 0);
-  std::memcpy(buffer.data(), &free_head_, sizeof(free_head_));
-  CINDERELLA_RETURN_IF_ERROR(WritePage(page, buffer.data()));
-  free_head_ = page;
-  ++free_count_;
-  return Status::OK();
-}
-
-Status Pager::Flush() {
-  CINDERELLA_RETURN_IF_ERROR(WriteHeader());
-  file_.flush();
-  if (!file_.good()) return Status::Internal("flush failure");
-  return Status::OK();
+void Pager::FreePage(PageId page) {
+  CINDERELLA_DCHECK(page < page_count_);
+  free_pages_.push_back(page);
 }
 
 }  // namespace cinderella

@@ -2,32 +2,32 @@
 #define CINDERELLA_PAGESTORE_PAGER_H_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "pagestore/page_codec.h"
 
 namespace cinderella {
 
-/// File-backed page manager: allocates, reads, writes, and frees
-/// fixed-size pages in a single file.
+/// Fixed-size pages in one file behind one fd, read and written with
+/// pread/pwrite. Page `id` lives at byte offset id * page_size.
 ///
-/// Page 0 is the file header (magic, version, page size, page count, free
-/// list head); freed pages form an intrusive linked list (first 8 payload
-/// bytes hold the next free page id, 0 = end).
+/// The file holds nothing but pages: Open() truncates it, and freed page
+/// ids go to an in-memory free list that AllocatePage() reuses. No header,
+/// no on-disk free list and no flush: the cold tier is rebuilt from the
+/// journal on every open, so nothing reads the file after a restart.
 ///
 /// Counters (pages_read/pages_written) let the benches report physical
 /// I/O — the quantity partition pruning saves in the paper's disk-based
 /// scenario.
 class Pager {
  public:
-  /// Creates (`truncate` = true) or opens an existing file. On open, the
-  /// header's page size must equal `page_size`.
+  /// Creates `path`, truncating any previous file. `page_size` must be in
+  /// [64, 65536] (the slotted-page codec's range).
   static StatusOr<std::unique_ptr<Pager>> Open(const std::string& path,
-                                               size_t page_size,
-                                               bool truncate);
+                                               size_t page_size);
 
   ~Pager();
   Pager(const Pager&) = delete;
@@ -35,42 +35,39 @@ class Pager {
 
   size_t page_size() const { return page_size_; }
 
-  /// Total pages in the file, including the header and freed pages.
+  /// Page ids handed out so far, freed ones included.
   uint64_t page_count() const { return page_count_; }
 
-  /// Pages currently on the free list.
-  uint64_t free_page_count() const { return free_count_; }
+  /// Page ids on the free list.
+  uint64_t free_page_count() const { return free_pages_.size(); }
 
   uint64_t pages_read() const { return pages_read_; }
   uint64_t pages_written() const { return pages_written_; }
 
-  /// Allocates a zeroed page (reusing the free list when possible).
-  StatusOr<PageId> AllocatePage();
+  /// Hands out a page id: the most recently freed one, else the next page
+  /// past the end of the file. No I/O; the caller writes the page before
+  /// anything reads it.
+  PageId AllocatePage();
 
-  /// Reads a page into `buffer` (page_size bytes).
+  /// Reads a page into `buffer` (page_size bytes). A page that was never
+  /// written reads short and fails.
   Status ReadPage(PageId page, uint8_t* buffer);
 
-  /// Writes `buffer` to the page.
+  /// Writes `buffer` (page_size bytes) to the page.
   Status WritePage(PageId page, const uint8_t* buffer);
 
-  /// Returns a page to the free list.
-  Status FreePage(PageId page);
-
-  /// Persists the header and flushes the file.
-  Status Flush();
+  /// Returns an allocated page id to the free list. No I/O.
+  void FreePage(PageId page);
 
  private:
-  Pager(std::fstream file, std::string path, size_t page_size);
+  Pager(int fd, size_t page_size) : fd_(fd), page_size_(page_size) {}
 
-  Status WriteHeader();
-  Status Seek(PageId page);
+  Status CheckRange(PageId page) const;
 
-  std::fstream file_;
-  std::string path_;
+  int fd_;
   size_t page_size_;
-  uint64_t page_count_ = 1;  // Header page.
-  uint64_t free_head_ = 0;   // 0 = empty free list.
-  uint64_t free_count_ = 0;
+  uint64_t page_count_ = 0;
+  std::vector<PageId> free_pages_;
   uint64_t pages_read_ = 0;
   uint64_t pages_written_ = 0;
 };

@@ -13,16 +13,16 @@ namespace cinderella {
 
 class ColdTier;
 
-/// Descriptor of one cold partition's on-disk page chain. Immutable once
-/// written; shared (via shared_ptr) between the live Partition, every MVCC
-/// PartitionVersion published while the partition is cold, and the tier's
-/// own bookkeeping. The pages behind it are freed only when the last
-/// reference drops (the shared_ptr deleter routes back to the tier), so a
-/// pinned snapshot reader can keep scanning a chain after the partition
-/// faulted back to the hot tier.
+/// Descriptor of one cold partition's on-disk page chain. The descriptor
+/// and its pages are immutable once written; shared (via shared_ptr)
+/// between the live Partition, every MVCC PartitionVersion published
+/// while the partition is cold, and the tier's own bookkeeping. The pages
+/// behind it are freed only when the last reference drops (the shared_ptr
+/// deleter routes back to the tier), so a pinned snapshot reader can keep
+/// scanning a chain after the partition faulted back to the hot tier.
 struct ColdChain {
-  /// Chain slot inside the backing PagedStore.
-  size_t store_index = 0;
+  /// The chain's pages in the tier's file, in row order.
+  std::vector<uint64_t> page_ids;
   /// Lowest entity id among the chain's rows at spill time. Journal spill
   /// records name chains by this id: partition ids are not stable across
   /// snapshot restore, entity ids are.
@@ -32,8 +32,6 @@ struct ColdChain {
   uint64_t entities = 0;
   uint64_t cells = 0;
   uint64_t bytes = 0;
-  /// Pages the chain occupies (tier residency reporting).
-  uint32_t pages = 0;
   /// The tier that wrote the chain — the read path for holders of only
   /// the descriptor (Partition::ForEachRow, CatalogCapture). Valid while
   /// the tier is open; readers must not outlive it (the same contract

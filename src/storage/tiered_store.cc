@@ -4,30 +4,9 @@
 #include <limits>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace cinderella {
-
-TieredStoreOptions TieredStoreOptions::FromEnv(TieredStoreOptions base) {
-  if (base.page_size == 0) {
-    base.page_size = static_cast<size_t>(
-        Int64FromEnv("CINDERELLA_SPILL_PAGE_SIZE", 8192));
-  }
-  if (base.pool_frames == 0) {
-    base.pool_frames = static_cast<size_t>(
-        Int64FromEnv("CINDERELLA_SPILL_POOL_FRAMES", 64));
-  }
-  if (base.budget_bytes == 0) {
-    base.budget_bytes = static_cast<uint64_t>(
-        Int64FromEnv("CINDERELLA_SPILL_BUDGET_BYTES", 0));
-  }
-  if (base.min_idle == 0) {
-    base.min_idle =
-        static_cast<uint64_t>(Int64FromEnv("CINDERELLA_SPILL_MIN_IDLE", 2));
-  }
-  return base;
-}
 
 TieredStore::TieredStore(TieredStoreOptions options,
                          std::unique_ptr<Pager> pager)
@@ -35,14 +14,13 @@ TieredStore::TieredStore(TieredStoreOptions options,
       registry_(std::make_shared<Registry>()),
       pager_(std::move(pager)),
       pool_(std::make_unique<BufferPool>(pager_.get(), options_.pool_frames)),
-      store_(std::make_unique<PagedStore>(pager_.get(), pool_.get(),
-                                          /*track_entities=*/false)) {
+      codec_(pager_->page_size()),
+      page_(pager_->page_size()) {
   registry_->store = this;
 }
 
 StatusOr<std::unique_ptr<TieredStore>> TieredStore::Open(
     TieredStoreOptions options) {
-  options = TieredStoreOptions::FromEnv(std::move(options));
   if (options.path.empty()) {
     return Status::InvalidArgument("tiered store needs a backing path");
   }
@@ -50,7 +28,7 @@ StatusOr<std::unique_ptr<TieredStore>> TieredStore::Open(
     return Status::InvalidArgument("pool_frames must be >= 2");
   }
   StatusOr<std::unique_ptr<Pager>> pager =
-      Pager::Open(options.path, options.page_size, /*truncate=*/true);
+      Pager::Open(options.path, options.page_size);
   CINDERELLA_RETURN_IF_ERROR(pager.status());
   return std::unique_ptr<TieredStore>(
       new TieredStore(std::move(options), std::move(pager).value()));
@@ -62,46 +40,69 @@ TieredStore::~TieredStore() {
   registry_->store = nullptr;
 }
 
+Status TieredStore::WritePages(const std::vector<Row>& rows,
+                               std::vector<uint64_t>* pages) {
+  for (const Row& row : rows) {
+    if (!codec_.FitsInPage(row)) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(row.id()) + " does not fit in one page (" +
+          std::to_string(PageCodec::EncodedRowSize(row)) + " bytes)");
+    }
+  }
+  const auto write_page = [&] {
+    const PageId page = pager_->AllocatePage();
+    pages->push_back(page);
+    return pager_->WritePage(page, page_.data());
+  };
+  codec_.InitPage(page_.data());
+  for (const Row& row : rows) {
+    if (codec_.AppendRow(page_.data(), row).has_value()) continue;
+    CINDERELLA_RETURN_IF_ERROR(write_page());
+    codec_.InitPage(page_.data());
+    codec_.AppendRow(page_.data(), row);  // Fits: checked above.
+  }
+  return write_page();
+}
+
+void TieredStore::ReleasePages(const std::vector<uint64_t>& pages) {
+  for (const PageId page : pages) {
+    pool_->Discard(page);
+    pager_->FreePage(page);
+  }
+}
+
 StatusOr<std::shared_ptr<const ColdChain>> TieredStore::WriteChain(
     const std::vector<Row>& rows) {
   if (rows.empty()) {
     return Status::InvalidArgument("cannot spill an empty partition");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t index = store_->AddEmptyPartition();
-  uint64_t cells = 0;
-  uint64_t bytes = 0;
-  EntityId representative = std::numeric_limits<EntityId>::max();
-  for (const Row& row : rows) {
-    const Status inserted = store_->Insert(index, row);
-    if (!inserted.ok()) {
-      // Roll the half-written chain back; the partition stays hot.
-      (void)store_->DropPartition(index);
-      return inserted;
-    }
-    cells += row.attribute_count();
-    bytes += row.byte_size();
-    representative = std::min(representative, row.id());
+  auto chain = std::make_unique<ColdChain>();
+  const Status written = WritePages(rows, &chain->page_ids);
+  if (!written.ok()) {
+    // The partition stays hot; nothing reads the pages written so far.
+    ReleasePages(chain->page_ids);
+    return written;
   }
-  auto* chain = new ColdChain;
-  chain->store_index = index;
-  chain->representative = representative;
+  chain->representative = std::numeric_limits<EntityId>::max();
+  for (const Row& row : rows) {
+    chain->cells += row.attribute_count();
+    chain->bytes += row.byte_size();
+    chain->representative = std::min(chain->representative, row.id());
+  }
   chain->entities = rows.size();
-  chain->cells = cells;
-  chain->bytes = bytes;
-  chain->pages = static_cast<uint32_t>(store_->PartitionPageCount(index));
   chain->tier = this;
   ++chains_;
   ++chains_written_;
   cold_entities_ += chain->entities;
   cold_bytes_ += chain->bytes;
-  cold_pages_ += chain->pages;
+  cold_pages_ += chain->page_ids.size();
   // The deleter holds the registry weakly through shared ownership of the
   // registry object itself: if the tier died first, `store` is null and
   // only the descriptor is freed (its pages died with the tier's file).
   std::shared_ptr<Registry> registry = registry_;
   return std::shared_ptr<const ColdChain>(
-      chain, [registry](const ColdChain* dead) {
+      chain.release(), [registry](const ColdChain* dead) {
         {
           std::lock_guard<std::mutex> lock(registry->mu);
           if (registry->store != nullptr) registry->store->DropChain(*dead);
@@ -113,25 +114,29 @@ StatusOr<std::shared_ptr<const ColdChain>> TieredStore::WriteChain(
 Status TieredStore::ReadChain(const ColdChain& chain,
                               const std::function<void(Row&&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return store_->ForEachRow(chain.store_index, fn);
+  for (const PageId page : chain.page_ids) {
+    StatusOr<PageHandle> handle = pool_->Fetch(page);
+    CINDERELLA_RETURN_IF_ERROR(handle.status());
+    const uint16_t slots = codec_.SlotCount(handle->data());
+    for (uint16_t slot = 0; slot < slots; ++slot) {
+      StatusOr<Row> row = codec_.ReadRow(handle->data(), slot);
+      CINDERELLA_RETURN_IF_ERROR(row.status());
+      fn(std::move(row).value());
+    }
+  }
+  return Status::OK();
 }
 
 void TieredStore::DropChain(const ColdChain& chain) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Status dropped = store_->DropPartition(chain.store_index);
-  CINDERELLA_CHECK(dropped.ok());
-  CINDERELLA_CHECK(chains_ > 0);
+  // Reads pin pages only inside ReadChain, under mu_: no frame of the
+  // chain is pinned here.
+  ReleasePages(chain.page_ids);
   --chains_;
   ++chains_dropped_;
   cold_entities_ -= chain.entities;
   cold_bytes_ -= chain.bytes;
-  cold_pages_ -= chain.pages;
-}
-
-Status TieredStore::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  CINDERELLA_RETURN_IF_ERROR(pool_->FlushAll());
-  return pager_->Flush();
+  cold_pages_ -= chain.page_ids.size();
 }
 
 TieredStoreStats TieredStore::stats() const {

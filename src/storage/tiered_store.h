@@ -12,27 +12,20 @@
 #include "common/status.h"
 #include "core/cinderella.h"
 #include "pagestore/buffer_pool.h"
-#include "pagestore/paged_store.h"
+#include "pagestore/page_codec.h"
 #include "pagestore/pager.h"
 #include "storage/cold_tier.h"
 
 namespace cinderella {
 
-/// Knobs of the cold tier. Zero-valued fields resolve from the
-/// environment at Open() (the CINDERELLA_* convention used across the
-/// engine):
-///   CINDERELLA_SPILL_PAGE_SIZE    page size in bytes       (default 8192)
-///   CINDERELLA_SPILL_POOL_FRAMES  buffer-pool frames       (default 64)
-///   CINDERELLA_SPILL_BUDGET_BYTES hot-tier byte budget     (default 0 = off)
-///   CINDERELLA_SPILL_MIN_IDLE     committed windows a partition must go
-///                                 untouched before it may spill (default 2)
+/// Settings of the cold tier.
 struct TieredStoreOptions {
   std::string path;           // Backing page file (required).
-  size_t page_size = 0;
-  size_t pool_frames = 0;
-  uint64_t budget_bytes = 0;  // 0 = no automatic spilling.
-  uint64_t min_idle = 0;
-  static TieredStoreOptions FromEnv(TieredStoreOptions base);
+  size_t page_size = 8192;    // Bytes per page, in [64, 65536].
+  size_t pool_frames = 64;    // Buffer-pool frames for cold reads (>= 2).
+  uint64_t budget_bytes = 0;  // Hot-tier byte budget; 0 = no auto-spill.
+  uint64_t min_idle = 2;      // Evaluations a partition must go untouched
+                              // before it may spill.
 };
 
 /// Residency and I/O counters of the tier.
@@ -46,20 +39,25 @@ struct TieredStoreStats {
   BufferPoolStats pool;
   uint64_t pager_pages_read = 0;
   uint64_t pager_pages_written = 0;
-  uint64_t file_pages = 0;      // Total pages in the backing file.
+  uint64_t file_pages = 0;      // Page ids handed out, freed ones included.
   uint64_t free_pages = 0;
 };
 
-/// The cold tier: a Pager + BufferPool + PagedStore under one mutex,
-/// implementing the ColdTier interface the core engine spills through.
+/// The cold tier: write-once page chains in one file, read through an LRU
+/// buffer pool, under one mutex, implementing the ColdTier interface the
+/// core engine spills through.
 ///
-/// The wrapped page stack is single-threaded; the mutex serializes every
-/// chain write/read/drop so concurrent MVCC snapshot readers can scan
-/// cold chains while the writer spills new ones. Chains are handed out as
-/// shared_ptr<const ColdChain> whose deleter routes back here (through a
-/// weak registry, so a release after the tier was destroyed is a no-op)
-/// and frees the chain's pages — a pinned snapshot can therefore outlive
-/// the partition's fault-in and keep reading its chain.
+/// A chain's pages are written once, full, straight to the file, and
+/// never changed: a chain is read whole and then dropped whole. Dropping
+/// discards the chain's frames from the pool and returns its page ids to
+/// the pager's in-memory free list, so a later chain may reuse them. The
+/// mutex serializes every chain write/read/drop so concurrent MVCC
+/// snapshot readers can scan cold chains while the writer spills new
+/// ones. Chains are handed out as shared_ptr<const ColdChain> whose
+/// deleter routes back here (through a registry the destructor clears,
+/// so a release after the tier was destroyed is a no-op) — a pinned
+/// snapshot can therefore outlive the partition's fault-in and keep
+/// reading its chain.
 class TieredStore : public ColdTier {
  public:
   /// Creates the backing file (truncating any previous one — recovery
@@ -72,13 +70,13 @@ class TieredStore : public ColdTier {
   TieredStore(const TieredStore&) = delete;
   TieredStore& operator=(const TieredStore&) = delete;
 
+  /// Fails with InvalidArgument, writing nothing, when a row does not fit
+  /// in one page; on a write error the pages taken so far go back to the
+  /// free list.
   StatusOr<std::shared_ptr<const ColdChain>> WriteChain(
       const std::vector<Row>& rows) override;
   Status ReadChain(const ColdChain& chain,
                    const std::function<void(Row&&)>& fn) const override;
-
-  /// Flushes dirty frames and the pager header to disk (checkpoint aid).
-  Status Flush();
 
   TieredStoreStats stats() const;
   const TieredStoreOptions& options() const { return options_; }
@@ -93,6 +91,11 @@ class TieredStore : public ColdTier {
 
   TieredStore(TieredStoreOptions options, std::unique_ptr<Pager> pager);
 
+  /// Encodes `rows` into pages, writing each page once it is full.
+  Status WritePages(const std::vector<Row>& rows,
+                    std::vector<uint64_t>* pages);
+  /// Discards the pages' frames and frees their ids. No I/O.
+  void ReleasePages(const std::vector<uint64_t>& pages);
   void DropChain(const ColdChain& chain);
 
   TieredStoreOptions options_;
@@ -100,7 +103,8 @@ class TieredStore : public ColdTier {
   mutable std::mutex mu_;  // Serializes all access to the page stack.
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<PagedStore> store_;
+  PageCodec codec_;
+  std::vector<uint8_t> page_;  // WritePages' encode buffer.
   uint64_t chains_ = 0;
   uint64_t cold_entities_ = 0;
   uint64_t cold_bytes_ = 0;
@@ -109,8 +113,8 @@ class TieredStore : public ColdTier {
   uint64_t chains_dropped_ = 0;
 };
 
-/// Spill-policy knobs of the TierController (plain values, no env
-/// resolution — map TieredStoreOptions::FromEnv results in when wiring).
+/// Spill policy of the TierController; callers usually copy
+/// TieredStoreOptions::{budget_bytes, min_idle} in.
 struct TierControllerOptions {
   uint64_t budget_bytes = 0;  // Hot-tier byte budget; 0 = never auto-spill.
   uint64_t min_idle = 2;      // Evaluations a partition must go untouched.

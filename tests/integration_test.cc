@@ -1,6 +1,5 @@
 // End-to-end integration tests across modules: the full pipeline
-// (generate -> partition -> snapshot -> reopen -> query -> CSV round trip)
-// and a paged-store differential test against the in-memory engine.
+// (generate -> partition -> snapshot -> reopen -> query -> CSV round trip).
 
 #include <filesystem>
 #include <set>
@@ -16,9 +15,6 @@
 #include "core/snapshot.h"
 #include "core/universal_table.h"
 #include "io/csv.h"
-#include "pagestore/buffer_pool.h"
-#include "pagestore/paged_store.h"
-#include "pagestore/pager.h"
 #include "mvcc/partition_version.h"
 #include "query/executor.h"
 #include "workload/dbpedia_generator.h"
@@ -110,47 +106,6 @@ TEST(IntegrationTest, FullPipeline) {
     ASSERT_TRUE(row.ok());
     EXPECT_EQ(names_of(*row, reloaded.dictionary()),
               names_of(rows[id], exported.dictionary()));
-  }
-}
-
-TEST(IntegrationTest, PagedStoreMatchesInMemoryEngine) {
-  // Differential test: the paged layout must return exactly the counts of
-  // the in-memory executor for every workload query.
-  DbpediaConfig config;
-  config.num_entities = 2000;
-  config.seed = 123;
-  AttributeDictionary dictionary;
-  DbpediaGenerator generator(config, &dictionary);
-  const auto rows = generator.Generate();
-
-  CinderellaConfig cc;
-  cc.weight = 0.3;
-  cc.max_size = 200;
-  auto partitioner = std::move(Cinderella::Create(cc)).value();
-  for (const Row& row : rows) {
-    ASSERT_TRUE(partitioner->Insert(row).ok());
-  }
-
-  const std::string path = testing::TempDir() + "/integration_paged.db";
-  auto pager = Pager::Open(path, 4096, true);
-  ASSERT_TRUE(pager.ok());
-  BufferPool pool(pager->get(), 8);  // Tiny pool: forces real paging.
-  PagedStore store(pager->get(), &pool);
-  partitioner->catalog().ForEachPartition([&](const Partition& partition) {
-    ASSERT_TRUE(store.AddPartition(partition).ok());
-  });
-
-  const CatalogCapture capture(partitioner->catalog());
-  QueryExecutor executor(capture.view());
-  const auto workload = GenerateQueryWorkload(rows, 100, QueryWorkloadConfig{});
-  for (const GeneratedQuery& q : workload) {
-    const QueryResult memory = executor.Execute(q.query);
-    auto paged = store.ExecuteQuery(q.query);
-    ASSERT_TRUE(paged.ok());
-    EXPECT_EQ(paged->rows_matched, memory.metrics.rows_matched)
-        << q.query.ToString();
-    EXPECT_EQ(paged->rows_scanned, memory.metrics.rows_scanned);
-    EXPECT_EQ(paged->partitions_pruned, memory.metrics.partitions_pruned);
   }
 }
 

@@ -85,7 +85,7 @@ TEST(TieredStoreTest, ChainRoundTripPreservesRowsAndOrder) {
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   EXPECT_EQ((*chain)->entities, rows.size());
   EXPECT_EQ((*chain)->representative, 10u);
-  EXPECT_GT((*chain)->pages, 0u);
+  EXPECT_GT((*chain)->page_ids.size(), 0u);
   EXPECT_EQ((*chain)->tier, tier.get());
 
   std::vector<Row> read;
@@ -133,6 +133,99 @@ TEST(TieredStoreTest, ChainMayOutliveTheTier) {
 TEST(TieredStoreTest, EmptySpillRejected) {
   auto tier = std::move(TieredStore::Open(SmallTier("chain_empty.pages"))).value();
   EXPECT_EQ(tier->WriteChain({}).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TieredStoreTest, OversizedRowFailsWithEveryPageBackOnTheFreeList) {
+  auto tier = std::move(TieredStore::Open(SmallTier("chain_fat.pages"))).value();
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 80; ++id) rows.push_back(MakeRow(id, {0, 1, 2}));
+  // A dropped chain leaves free pages for the failing write to draw from.
+  { auto dropped = std::move(tier->WriteChain(rows)).value(); }
+  Row fat(1000);
+  fat.Set(0, Value(std::string(2000, 'x')));  // Twice the 1 KiB page.
+  rows.push_back(std::move(fat));  // Last, after several pages of rows.
+  const TieredStoreStats before = tier->stats();
+  ASSERT_GT(before.free_pages, 1u);
+
+  EXPECT_EQ(tier->WriteChain(rows).status().code(),
+            StatusCode::kInvalidArgument);
+  const TieredStoreStats after = tier->stats();
+  EXPECT_EQ(after.chains, 0u);
+  EXPECT_EQ(after.chains_written, before.chains_written);
+  EXPECT_EQ(after.cold_pages, 0u);
+  EXPECT_EQ(after.free_pages, after.file_pages);
+  EXPECT_EQ(after.pager_pages_written, before.pager_pages_written);
+
+  rows.pop_back();
+  auto chain = tier->WriteChain(rows);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  size_t read = 0;
+  ASSERT_TRUE(tier->ReadChain(**chain, [&](Row&&) { ++read; }).ok());
+  EXPECT_EQ(read, rows.size());
+}
+
+TEST(TieredStoreTest, ReusedPageIdsReadTheNewChainNotStaleFrames) {
+  // Chains are written straight to the file, past the pool: dropping one
+  // must discard its cached frames, or a chain that reuses the freed ids
+  // would read the dropped chain's rows back.
+  auto tier =
+      std::move(TieredStore::Open(SmallTier("chain_reuse.pages"))).value();
+  std::vector<Row> old_rows;
+  std::vector<Row> new_rows;
+  for (EntityId id = 0; id < 40; ++id) {
+    old_rows.push_back(MakeRow(id, {0, 1}));
+    new_rows.push_back(MakeRow(100 + id, {5, 6}));
+  }
+  std::vector<uint64_t> old_pages;
+  {
+    auto old_chain = std::move(tier->WriteChain(old_rows)).value();
+    old_pages = old_chain->page_ids;
+    ASSERT_TRUE(tier->ReadChain(*old_chain, [](Row&&) {}).ok());
+    ASSERT_LE(old_pages.size(), tier->options().pool_frames);  // All cached.
+  }
+  auto fresh = std::move(tier->WriteChain(new_rows)).value();
+  EXPECT_EQ(std::set<uint64_t>(fresh->page_ids.begin(), fresh->page_ids.end()),
+            std::set<uint64_t>(old_pages.begin(), old_pages.end()));
+
+  const uint64_t misses = tier->stats().pool.misses;
+  std::vector<Row> read;
+  ASSERT_TRUE(
+      tier->ReadChain(*fresh, [&](Row&& row) { read.push_back(std::move(row)); })
+          .ok());
+  ASSERT_EQ(read.size(), new_rows.size());
+  for (size_t i = 0; i < read.size(); ++i) {
+    EXPECT_EQ(read[i].id(), new_rows[i].id());
+    EXPECT_TRUE(read[i].Has(5));
+  }
+  EXPECT_EQ(tier->stats().pool.misses - misses, fresh->page_ids.size());
+}
+
+TEST(TieredStoreTest, MultiPageChainReadsInOrderThroughTwoFrames) {
+  TieredStoreOptions options = SmallTier("chain_two_frames.pages");
+  options.page_size = 512;
+  options.pool_frames = 2;
+  auto tier = std::move(TieredStore::Open(options)).value();
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 200; ++id) {
+    rows.push_back(MakeRow(id, {0, 1, static_cast<AttributeId>(2 + id % 5)}));
+  }
+  auto chain = std::move(tier->WriteChain(rows)).value();
+  ASSERT_GT(chain->page_ids.size(), 2 * options.pool_frames);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Row> read;
+    ASSERT_TRUE(tier->ReadChain(*chain, [&](Row&& row) {
+                      read.push_back(std::move(row));
+                    }).ok());
+    ASSERT_EQ(read.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(read[i].id(), rows[i].id()) << "pass " << pass;
+      EXPECT_EQ(read[i].attribute_count(), 3u);
+    }
+  }
+  const TieredStoreStats stats = tier->stats();
+  EXPECT_EQ(stats.pool.misses, 2 * chain->page_ids.size());
+  EXPECT_GT(stats.pool.evictions, 0u);
 }
 
 // -- Cold residency in the live engine ---------------------------------------

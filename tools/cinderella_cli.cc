@@ -84,16 +84,17 @@ int Usage() {
       "            come from CINDERELLA_TUNER_* env vars)\n"
       "            [--ops COLUMN]   (mixed op stream: the named CSV\n"
       "            column selects insert/update/delete per record)\n"
-      "            CINDERELLA_SPILL_BUDGET_BYTES>0 attaches a cold page\n"
+      "            [--spill-budget BYTES]   (> 0 attaches a cold page\n"
       "            tier; committed windows spill idle partitions to it\n"
+      "            until the hot tier fits BYTES)\n"
       "            --snapshot FILE.snap   (bulk load via the batched\n"
       "            mutation pipeline; placements match `partition`)\n"
-      "  stats     --snapshot FILE.snap [--nodes N]   (with --nodes,\n"
-      "            also boot N loopback node servers and print the\n"
-      "            per-node stats the coordinator fetches over TCP;\n"
-      "            with CINDERELLA_SPILL_BUDGET_BYTES set, demote the\n"
-      "            idle tail to a cold page tier and report residency\n"
-      "            and buffer-pool hit rate)\n"
+      "  stats     --snapshot FILE.snap [--nodes N]\n"
+      "            [--spill-budget BYTES]   (with --nodes, also boot N\n"
+      "            loopback node servers and print the per-node stats\n"
+      "            the coordinator fetches over TCP; with\n"
+      "            --spill-budget, demote the idle tail to a cold page\n"
+      "            tier and report residency and buffer-pool hit rate)\n"
       "  query     --snapshot FILE.snap --attrs a,b,c\n"
       "  serve     --snapshot FILE.snap [--port P] [--threads N]\n"
       "            [--duration-ms T]   (host the table as one node\n"
@@ -253,8 +254,8 @@ int Load(const Args& args) {
     reorganizer->Start();
   }
 
-  // Tiered storage (opt-in via CINDERELLA_SPILL_BUDGET_BYTES): attach a
-  // cold tier backed by <snapshot>.pages and run the spill policy at
+  // Tiered storage (opt-in via --spill-budget BYTES): attach a cold
+  // tier backed by <snapshot>.pages and run the spill policy at
   // every committed ingest window — the window commit is the spill
   // boundary, so the MVCC publication closing the window already
   // reflects the demotions. With --tune, probe traffic ranks partitions
@@ -268,7 +269,8 @@ int Load(const Args& args) {
   {
     TieredStoreOptions tier_options;
     tier_options.path = snapshot + ".pages";
-    tier_options = TieredStoreOptions::FromEnv(std::move(tier_options));
+    tier_options.budget_bytes =
+        static_cast<uint64_t>(args.GetInt("spill-budget", 0));
     if (tier_options.budget_bytes > 0) {
       auto opened = TieredStore::Open(tier_options);
       if (!opened.ok()) return Fail(opened.status());
@@ -460,7 +462,7 @@ int Stats(const Args& args) {
   std::printf("%s\n", c.name().c_str());
   std::printf("%s", AnalyzePartitioning(c.catalog()).ToString().c_str());
 
-  // Cold tier (opt-in via CINDERELLA_SPILL_BUDGET_BYTES): demote the
+  // Cold tier (opt-in via --spill-budget BYTES): demote the
   // restored table's idle tail to a page tier beside the snapshot, run
   // one full hybrid scan through it, and report residency plus
   // buffer-pool behavior. The spilled partitions are faulted back hot
@@ -470,7 +472,8 @@ int Stats(const Args& args) {
   {
     TieredStoreOptions tier_options;
     tier_options.path = args.Get("snapshot") + ".pages";
-    tier_options = TieredStoreOptions::FromEnv(std::move(tier_options));
+    tier_options.budget_bytes =
+        static_cast<uint64_t>(args.GetInt("spill-budget", 0));
     if (tier_options.budget_bytes > 0) {
       auto opened = TieredStore::Open(tier_options);
       if (!opened.ok()) return Fail(opened.status());

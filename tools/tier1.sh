@@ -13,8 +13,9 @@
 # cold store runs in both side builds: its spill/fault cycles and
 # snapshot readers over a spilling writer under TSan, and chain/page
 # ownership under ASan with leak detection. The ASan build also runs the
-# decoders of outside bytes (snapshot load, journal recovery and the wire
-# codec) and the networked gather: a node encodes its response from views
+# decoders of outside bytes (snapshot load, journal recovery, the wire
+# codec, and the page decoder with the fd pager under it) and the
+# networked gather: a node encodes its response from views
 # into the pinned snapshot until the last row batch is sent, so ASan is
 # what shows that no view outlives that snapshot. A final
 # UBSan side build (fatal, no recover) covers the aggregation engine's
@@ -88,7 +89,7 @@ if [[ "$FAST" -eq 0 ]]; then
 fi
 
 echo "== tier-1: ASan+leak build of the MVCC read engine, decoder and gather tests =="
-ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test snapshot_test fuzz_recovery_test net_frame_test net_cluster_test)
+ASAN_TARGETS=(mvcc_test tuner_test tiered_store_test pagestore_test snapshot_test fuzz_recovery_test net_frame_test net_cluster_test)
 if [[ "$FAST" -eq 0 ]]; then
   ASAN_TARGETS+=(mvcc_stress_test tuner_stress_test tiered_stress_test net_stress_test)
 fi
@@ -105,8 +106,10 @@ ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tuner_te
 # it built when it dies.
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/tiered_store_test
 # Decoders of bytes from outside the process: snapshots (with their split
-# starters), journals replayed after torn writes, and wire frames
-# (truncated and bit-flipped) must fail cleanly, never read out of bounds.
+# starters), journals replayed after torn writes, wire frames (truncated
+# and bit-flipped) and cold pages (corrupt slot count, offset or length)
+# must fail cleanly, never read out of bounds.
+ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/pagestore_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/snapshot_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/fuzz_recovery_test
 ASAN_OPTIONS=detect_leaks=1 timeout "$CTEST_TIMEOUT" ./build-asan/tests/net_frame_test
