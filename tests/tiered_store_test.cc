@@ -200,7 +200,38 @@ TEST(TieredStoreTest, ReusedPageIdsReadTheNewChainNotStaleFrames) {
   EXPECT_EQ(tier->stats().pool.misses - misses, fresh->page_ids.size());
 }
 
-TEST(TieredStoreTest, MultiPageChainReadsInOrderThroughTwoFrames) {
+// -- Multi-page chains ------------------------------------------------------
+
+TEST(PagedStoreTest, ChainsGrowAcrossPages) {
+  auto tier =
+      std::move(TieredStore::Open(SmallTier("chain_grow.pages"))).value();
+  std::vector<Row> rows;
+  for (EntityId id = 0; id < 500; ++id) rows.push_back(MakeRow(id, {0, 1, 2, 3}));
+  auto chain = std::move(tier->WriteChain(rows)).value();
+  ASSERT_GT(chain->page_ids.size(), 3u);
+  EXPECT_EQ(std::set<uint64_t>(chain->page_ids.begin(), chain->page_ids.end())
+                .size(),
+            chain->page_ids.size());
+  // Each page is written once, past the pool.
+  TieredStoreStats stats = tier->stats();
+  EXPECT_EQ(stats.pager_pages_written, chain->page_ids.size());
+  EXPECT_EQ(stats.cold_pages, chain->page_ids.size());
+  EXPECT_EQ(stats.pool.misses + stats.pool.hits, 0u);
+
+  EntityId next = 0;
+  ASSERT_TRUE(tier->ReadChain(*chain, [&](Row&& row) {
+                    EXPECT_EQ(row.id(), next);
+                    ++next;
+                  }).ok());
+  EXPECT_EQ(next, rows.size());
+  stats = tier->stats();
+  EXPECT_EQ(stats.pool.misses, chain->page_ids.size());
+  EXPECT_EQ(stats.pager_pages_read, chain->page_ids.size());
+}
+
+TEST(PagedStoreTest, TinyPoolStillScansEverything) {
+  // A multi-page chain read twice through a 2-frame pool: eviction churn
+  // on every pass, every row back in order.
   TieredStoreOptions options = SmallTier("chain_two_frames.pages");
   options.page_size = 512;
   options.pool_frames = 2;
